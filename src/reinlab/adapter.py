@@ -104,11 +104,6 @@ class ReinAdapterParams:
         """Freeze token products for repeated inference passes."""
         self.cache_enabled = True
 
-    def clear_cache(self):
-        self.cache_enabled = False
-        self._token_cache.clear()
-        self._folded_cache.clear()
-
 
 def init_parameters(cfg: ReinConfig, seed) -> ReinAdapterParams:
     """Build the adapter parameter set.

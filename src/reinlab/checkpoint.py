@@ -8,9 +8,10 @@ Layout (little-endian):
     trailer:    u32 meta_len | meta JSON utf-8
 
 The trailer carries run metadata (config, iteration, seed, config hash);
-readers that stop after ``tensor_count`` tensors can ignore it. Component
-tags {backbone: 0, adapter: 1, head: 2} partition the tensor set, which is
-what makes adapter/head swapping a pure re-tagging of byte ranges.
+readers that stop after ``tensor_count`` tensors can ignore it. Nothing may
+follow the trailer. Component tags {backbone: 0, adapter: 1, head: 2}
+partition the tensor set, which is what makes adapter/head swapping a pure
+re-tagging of byte ranges.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ class Checkpoint:
             tensors[name] = (arr, COMPONENTS[tag])
         (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
         meta = json.loads(take(meta_len, "metadata").decode("utf-8")) if meta_len else {}
+        if pos != len(data):
+            raise ParseError(path, pos, f"{len(data) - pos} trailing bytes after metadata")
         return cls(tensors=tensors, meta=meta, version=version)
 
     @classmethod

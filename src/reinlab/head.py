@@ -76,18 +76,8 @@ class SegPrediction:
     class_logits: Tensor | None   # [q, K]
     mask_logits: Tensor | None    # [q, n]
     fused_coarse: Tensor          # [K, n] pre-upsample scores
-    pixel_rows: Tensor            # [H*W, K] upsampled logits, row-major
+    pixel_rows: Tensor            # [H*W, K] upsampled logits
     out_hw: tuple
-
-    @property
-    def fused(self) -> Tensor:
-        """Per-pixel logits as [K, H, W]."""
-        h, w = self.out_hw
-        return T.reshape(T.transpose(self.pixel_rows), (-1, h, w))
-
-    def label_map(self) -> np.ndarray:
-        h, w = self.out_hw
-        return self.pixel_rows.data.argmax(axis=1).reshape(h, w)
 
 
 class SegHead:
@@ -134,8 +124,8 @@ class SegHead:
             p["head.W_lin"] = zeros((d, k))
             p["head.b_lin"] = zeros((k,))
         self.params = p
-        self._upsample = Tensor(
-            bilinear_matrix(self.grid_hw, self.out_hw).T)  # [n, H*W]
+        self._upsample = Tensor(np.ascontiguousarray(
+            bilinear_matrix(self.grid_hw, self.out_hw).T))  # [n, H*W]
 
     def named_tensors(self):
         return list(self.params.items())
@@ -146,10 +136,12 @@ class SegHead:
                      self.params["head.b_pix"])
 
     def decode_rows(self, tapped, query=None, batch_size=1):
-        """Batch decode; returns (pixel_rows [B*H*W, K], class_logits, mask_logits).
+        """Batch decode; returns (pixel_rows [B*H*W, K], class_logits,
+        mask_logits, coarse [K, B*n]).
 
         ``tapped`` holds [B*n, c] tensors; pixel rows come back image-major
-        then row-major within each image.
+        then row-major within each image, as a transposed view of class-major
+        [K, B*H*W] memory.
         """
         p = self.params
         pix = self._pixel_embed(tapped)  # [B*n, d]
@@ -167,12 +159,13 @@ class SegHead:
             class_logits = mask_logits = None
             coarse = T.transpose(
                 T.add(T.matmul(pix, p["head.W_lin"]), p["head.b_lin"]))  # [K, B*n]
-        n = self.n_patches
-        per_image = []
-        for b in range(batch_size):
-            img = T.col_slice(coarse, b * n, (b + 1) * n)
-            per_image.append(T.transpose(T.matmul(img, self._upsample)))
-        rows = per_image[0] if batch_size == 1 else T.concat(per_image, axis=0)
+        # [K, B*n] is [K*B, n] with one image per row, so a single GEMM
+        # upsamples the batch; [K*B, H*W] is then class-major [K, B*H*W],
+        # and its transpose gives image-major pixel rows without a copy.
+        k = coarse.shape[0]
+        up = T.matmul(T.reshape(coarse, (k * batch_size, self.n_patches)),
+                      self._upsample)
+        rows = T.transpose(T.reshape(up, (k, -1)))
         return rows, class_logits, mask_logits, coarse
 
     def decode(self, tapped, query=None) -> SegPrediction:

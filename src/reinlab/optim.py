@@ -30,7 +30,7 @@ class AdamW:
 
     Moment buffers exist only for the tensors handed in, so frozen model
     components never acquire optimizer state. A missing gradient is treated
-    as zero; a NaN gradient aborts, naming the offending tensor.
+    as zero; a NaN or ±inf gradient aborts, naming the offending tensor.
     """
 
     def __init__(self, named_params, lr, betas=(0.9, 0.999), eps=1e-8,
@@ -52,8 +52,8 @@ class AdamW:
             grad = p.grad
             if grad is None:
                 grad = np.zeros_like(p.data)
-            elif np.isnan(grad).any():
-                raise NumericError(f"NaN gradient on tensor {name!r}")
+            elif not np.isfinite(grad).all():
+                raise NumericError(f"non-finite gradient on tensor {name!r}")
             m, v = self.state[name]
             adamw_step(p.data, grad, m, v, self.t, self.lr, self.beta1,
                        self.beta2, self.eps, self.weight_decay)

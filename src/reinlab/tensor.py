@@ -397,8 +397,8 @@ def softmax_rows(x: Tensor) -> Tensor:
     """
     if x.ndim < 1:
         raise ShapeError("softmax_rows expects at least 1-D input")
-    if np.isnan(x.data).any():
-        raise NumericError("softmax_rows received NaN input")
+    if not np.isfinite(x.data).all():
+        raise NumericError("softmax_rows received non-finite input")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -551,11 +551,11 @@ def cross_entropy_logits(logits: Tensor, labels, ignore_index=255) -> Tensor:
     p, k = logits.shape
     if labels.shape != (p,):
         raise ShapeError(f"labels shape {labels.shape} != ({p},)")
-    valid = labels != ignore_index
-    count = int(valid.sum())
+    rows = np.flatnonzero(labels != ignore_index)
+    count = rows.size
     if count == 0:
         raise ContractError("cross_entropy: every pixel is ignored")
-    lab = labels[valid]
+    lab = labels[rows]
     if lab.min() < 0 or lab.max() >= k:
         raise ContractError(f"labels outside [0,{k}) and != {ignore_index}")
 
@@ -563,15 +563,16 @@ def cross_entropy_logits(logits: Tensor, labels, ignore_index=255) -> Tensor:
     e = np.exp(z)
     denom = e.sum(axis=1, keepdims=True)
     lse = np.log(denom[:, 0])
-    nll = lse[valid] - z[valid, lab]
+    nll = lse[rows] - z[rows, lab]
     out = Tensor._wrap(
         (nll.sum(dtype=z.dtype) / count).reshape(()).astype(z.dtype), logits.requires_grad
     )
 
     def backward(g):
-        grad = np.zeros_like(z)
-        grad[valid] = e[valid] / denom[valid]
-        grad[valid, lab] -= 1.0
+        grad = e / denom
+        if count < p:
+            grad[labels == ignore_index] = 0.0
+        grad[rows, lab] -= 1.0
         return (grad * (float(g) / count),)
 
     return _record((logits,), out, backward)

@@ -1,9 +1,14 @@
 """CLI dispatch, exit codes, determinism of outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reinlab
 from reinlab.cli import main
 
 
@@ -120,3 +125,41 @@ def test_backbone_seed_flag_trains_a_random_desk_backbone(tmp_path, monkeypatch,
                  "full", "--iterations", "1", "--backbone-seed", "3"]) == 0
     cfg = json.loads((out / "resolved_config.json").read_text())["config"]
     assert cfg["pretrain"] is None and cfg["backbone_seed"] == 3
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_python(code, **env_extra):
+    """Run ``code`` in a fresh interpreter whose environment sets no BLAS
+    thread variable; returns the last line it prints."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = str(Path(reinlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_numpy_and_sets_no_thread_variable():
+    out = _run_python(
+        "import os, sys, reinlab\n"
+        f"print(sorted(v for v in {_BLAS_VARS!r} if v in os.environ), "
+        "'numpy' in sys.modules, reinlab.Tensor is reinlab.tensor.Tensor)")
+    assert out == "[] False True"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_reinlab_threads_caps_blas_from_the_cli():
+    out = _run_python(
+        "import os\n"
+        "from reinlab.cli import main\n"
+        "assert main(['audit-params', '--c', '64', '--layers', '4', '--m', '16',\n"
+        "             '--r', '4', '--c-prime', '16']) == 0\n"
+        "import numpy as np\n"
+        "a = np.ones((512, 512))\n"
+        "a @ a\n"
+        "print(len(os.listdir('/proc/self/task')))",
+        REINLAB_THREADS="1")
+    assert out == "1"

@@ -99,6 +99,61 @@ def test_upsample_matches_bilinear_loop():
     np.testing.assert_allclose(p.sum(axis=1), np.ones(35), atol=1e-12)
 
 
+def _randomized_head(seed=30, **shape):
+    head = make_head(seed=seed, **shape)
+    rng = np.random.default_rng(seed + 1)
+    for name in ("head.W_qd", "head.b_qd", "head.W_cls"):
+        t = head.params[name]
+        t.data[:] = rng.standard_normal(t.shape) * 0.5
+    return head
+
+
+def test_batched_decode_matches_per_image_reference_bytes():
+    # One upsample GEMM for the batch must give exactly the bytes of one GEMM
+    # per image, forward and backward. Bit equality is a property of the BLAS
+    # kernels at a given shape, so this runs the desk decode shapes (6
+    # classes, 8x8 patches to 64x64 pixels); at some tiny shapes OpenBLAS
+    # picks different kernels for the two layouts and the last bits differ.
+    bsz, k, n, hw = 3, 6, 64, 64 * 64
+    head = _randomized_head(k=k, grid=(8, 8), out=(64, 64))
+    rng = np.random.default_rng(32)
+    tapped = rand_taps(rng, n=bsz * n)
+    upsample = H.bilinear_matrix((8, 8), (64, 64)).T.astype(np.float32)
+    weights = Tensor(rng.standard_normal((bsz * hw, k)).astype(np.float32))
+
+    with Tape() as tape:
+        rows, _, _, coarse = head.decode_rows(tapped, batch_size=bsz)
+        tape.backward(T.sum_all(T.mul(rows, weights)))
+    got_grads = {name: head.params[name].grad for name in ("head.W_pix", "head.W_cls")}
+    want = np.concatenate([(coarse.data[:, b * n:(b + 1) * n] @ upsample).T
+                           for b in range(bsz)])
+    np.testing.assert_array_equal(rows.data, want)
+
+    # the same loss through one col_slice -> matmul -> transpose per image
+    for t in head.params.values():
+        t.grad = None
+    with Tape() as tape:
+        _, _, _, coarse = head.decode_rows(tapped, batch_size=bsz)
+        up = Tensor(upsample)
+        ref_rows = T.concat(
+            [T.transpose(T.matmul(T.col_slice(coarse, b * n, (b + 1) * n), up))
+             for b in range(bsz)], axis=0)
+        tape.backward(T.sum_all(T.mul(ref_rows, weights)))
+    for name, grad in got_grads.items():
+        np.testing.assert_array_equal(grad, head.params[name].grad, err_msg=name)
+
+
+def test_decode_tape_records_independent_of_batch_size():
+    head = _randomized_head()
+    counts = []
+    for bsz in (1, 8):
+        with Tape() as tape:
+            head.decode_rows(rand_taps(np.random.default_rng(33), n=bsz * 4),
+                             batch_size=bsz)
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
+
+
 def test_missing_query_rejected_when_not_owned():
     head = make_head(owns=False)
     with pytest.raises(ContractError):

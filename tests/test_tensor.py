@@ -126,6 +126,12 @@ def test_softmax_nan_input_rejected():
         T.softmax_rows(bad)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+def test_softmax_inf_input_rejected(bad):
+    with pytest.raises(NumericError):
+        T.softmax_rows(leaf([[0.0, bad]], rg=False))
+
+
 # ---------------------------------------------------------------------------
 # backward mechanics
 
@@ -362,6 +368,28 @@ def test_cross_entropy_matches_scalar_loop():
         total += math.log(np.exp(row).sum()) - row[lab]
         count += 1
     assert abs(loss - total / count) <= 1e-6
+
+
+def test_cross_entropy_on_transposed_view_matches_loop_and_fd():
+    # the decode head hands the loss a [P, K] view of class-major memory
+    rng = np.random.default_rng(12)
+    class_major = rng.uniform(-2, 2, (4, 9))
+    labels = np.array([0, 3, 255, 1, 2, 255, 3, 0, 1])
+    logits = T.transpose(leaf(class_major, rg=False))
+    assert not logits.data.flags.c_contiguous
+    loss = T.cross_entropy_logits(logits, labels).item()
+    total, count = 0.0, 0
+    for i, lab in enumerate(labels):
+        if lab == 255:
+            continue
+        row = class_major[:, i].astype(np.float64)
+        total += math.log(np.exp(row).sum()) - row[lab]
+        count += 1
+    assert abs(loss - total / count) <= 1e-6
+
+    with T.using_dtype(np.float64):
+        fd_check(lambda x: T.cross_entropy_logits(T.transpose(x), labels),
+                 [leaf(class_major)], tol=1e-6, h=1e-5)
 
 
 def test_slice_errors():

@@ -48,6 +48,16 @@ def test_adamw_nan_gradient_names_tensor():
         opt.step()
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+def test_adamw_inf_gradient_names_tensor(bad):
+    p = Tensor([1.0, 2.0], requires_grad=True)
+    p.grad = np.array([0.5, bad], dtype=np.float32)
+    opt = AdamW([("head.W_cls", p)], lr=0.1)
+    with pytest.raises(NumericError, match="head.W_cls"):
+        opt.step()
+    np.testing.assert_array_equal(p.data, [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # gradient partition and frozen integrity
 
@@ -103,6 +113,15 @@ def test_checkpoint_truncation_rejected(tiny_benchmark):
     for cut in (4, 20, len(raw) // 2, len(raw) - 2):
         with pytest.raises(ParseError):
             Checkpoint.from_bytes(raw[:cut])
+
+
+def test_checkpoint_trailing_bytes_rejected(tiny_benchmark):
+    cfg = tiny_train_config(tiny_benchmark, iterations=1, eval_interval=1)
+    ckpt, _ = train(cfg)
+    raw = ckpt.to_bytes()
+    with pytest.raises(ParseError, match="trailing") as err:
+        Checkpoint.from_bytes(raw + b"\0")
+    assert err.value.offset == len(raw)
 
 
 def test_checkpoint_bad_magic():
