@@ -101,7 +101,8 @@ class ReinAdapterParams:
         return self.tensors[f"{scope}.W_{kind}"], self.tensors[f"{scope}.b_{kind}"]
 
     def enable_cache(self):
-        """Freeze token products for repeated inference passes."""
+        """Freeze token products for repeated inference passes; using the
+        cache under an active tape raises ``ContractError``."""
         self.cache_enabled = True
 
 
@@ -156,12 +157,21 @@ def init_parameters(cfg: ReinConfig, seed) -> ReinAdapterParams:
 # the refinement chain
 
 
+def _check_cache_off_tape(params: ReinAdapterParams):
+    """The caches hold detached tensors, so under a tape A, B and W_T would
+    silently get no gradient."""
+    if params.cache_enabled and T.active_tape() is not None:
+        raise ContractError("adapter token cache is enabled under an active tape; "
+                            "it is for inference only")
+
+
 def materialize_tokens(params: ReinAdapterParams, i: int) -> Tensor:
     """Token sequence T_i as an [m, c] tensor (A_i x B_i when factorized).
 
     With the cache enabled, repeated calls return the identical tensor
     object, detached from the parameters.
     """
+    _check_cache_off_tape(params)
     cfg = params.cfg
     if not cfg.use_lora:
         return params[f"adapter.layer{i:02d}.T"]
@@ -185,12 +195,13 @@ def similarity_map(f: Tensor, tokens: Tensor, c: int) -> Tensor:
 
 def folded_tokens(params: ReinAdapterParams, i: int, tokens: Tensor) -> Tensor:
     """T_i[1:] W_T + b_T, cached alongside the tokens when enabled."""
+    _check_cache_off_tape(params)
     w, b = params.mlp("T", i)
     if params.cache_enabled:
         cached = params._folded_cache.get(i)
         if cached is not None:
             return cached
-    folded = T.add(T.matmul(T.row_slice(tokens, 1, params.cfg.m), w), b)
+    folded = T.linear(T.row_slice(tokens, 1, params.cfg.m), w, b)
     if params.cache_enabled:
         folded = folded.detach()
         params._folded_cache[i] = folded
@@ -202,18 +213,18 @@ def token_delta(sim: Tensor, tokens: Tensor, w_t: Tensor, b_t: Tensor) -> Tensor
     m = tokens.shape[0]
     if m < 2:
         raise ConfigError("token_delta needs m >= 2 (first token is dropped)")
-    folded = T.add(T.matmul(T.row_slice(tokens, 1, m), w_t), b_t)
+    folded = T.linear(T.row_slice(tokens, 1, m), w_t, b_t)
     return T.matmul(T.col_slice(sim, 1, m), folded)
 
 
 def feature_delta(dbar: Tensor, f: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
     """Final modification (dbar + f) W_f + b_f."""
-    return T.add(T.matmul(T.add(dbar, f), w_f), b_f)
+    return T.linear(T.add(dbar, f), w_f, b_f)
 
 
 def layer_queries(tokens: Tensor, w_q: Tensor, b_q: Tensor) -> Tensor:
     """Per-layer query set Q_i = T_i W_Q + b_Q."""
-    return T.add(T.matmul(tokens, w_q), b_q)
+    return T.linear(tokens, w_q, b_q)
 
 
 def aggregate_queries(qs, w_cat: Tensor, b_cat: Tensor) -> Tensor:
@@ -222,7 +233,7 @@ def aggregate_queries(qs, w_cat: Tensor, b_cat: Tensor) -> Tensor:
     if not qs:
         raise ContractError("aggregate_queries: empty layer-query list")
     fused = T.concat([T.stack_max(qs), T.stack_mean(qs), qs[-1]], axis=-1)
-    return T.add(T.matmul(fused, w_cat), b_cat)
+    return T.linear(fused, w_cat, b_cat)
 
 
 def rein_refine(i: int, f: Tensor, params: ReinAdapterParams):

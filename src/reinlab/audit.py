@@ -20,9 +20,8 @@ from math import prod
 
 from .adapter import ReinConfig, VARIANTS
 from .errors import ConfigError
+from .model import MODES
 from .vit import ViTConfig
-
-MODES = ("full", "freeze", "rein")
 
 
 @dataclass

@@ -132,8 +132,7 @@ class SegHead:
 
     def _pixel_embed(self, tapped):
         fused_feats = T.concat(list(tapped), axis=-1)
-        return T.add(T.matmul(fused_feats, self.params["head.W_pix"]),
-                     self.params["head.b_pix"])
+        return T.linear(fused_feats, self.params["head.W_pix"], self.params["head.b_pix"])
 
     def decode_rows(self, tapped, query=None, batch_size=1):
         """Batch decode; returns (pixel_rows [B*H*W, K], class_logits,
@@ -151,14 +150,14 @@ class SegHead:
                     raise ContractError(
                         "query-based head expects an external query set")
                 query = p["head.queries"]
-            qd = T.add(T.matmul(query, p["head.W_qd"]), p["head.b_qd"])
+            qd = T.linear(query, p["head.W_qd"], p["head.b_qd"])
             mask_logits = T.matmul(qd, T.transpose(pix))          # [q, B*n]
-            class_logits = T.add(T.matmul(query, p["head.W_cls"]), p["head.b_cls"])
+            class_logits = T.linear(query, p["head.W_cls"], p["head.b_cls"])
             coarse = T.matmul(T.transpose(class_logits), T.sigmoid(mask_logits))
         else:
             class_logits = mask_logits = None
             coarse = T.transpose(
-                T.add(T.matmul(pix, p["head.W_lin"]), p["head.b_lin"]))  # [K, B*n]
+                T.linear(pix, p["head.W_lin"], p["head.b_lin"]))  # [K, B*n]
         # [K, B*n] is [K*B, n] with one image per row, so a single GEMM
         # upsamples the batch; [K*B, H*W] is then class-major [K, B*H*W],
         # and its transpose gives image-major pixel rows without a copy.

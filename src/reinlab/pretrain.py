@@ -123,7 +123,7 @@ def pretrain_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
         weight = masked.reshape(-1, 1) / float(masked.sum() * pdim)
         with Tape() as tape:
             _, feats = backbone.forward(visible)
-            pred = T.add(T.matmul(feats, decoder["decoder.W"]), decoder["decoder.b"])
+            pred = T.linear(feats, decoder["decoder.W"], decoder["decoder.b"])
             err = T.add(pred, Tensor(-target))
             loss = T.sum_all(T.mul(T.mul(err, err), Tensor(weight)))
             tape.backward(loss)

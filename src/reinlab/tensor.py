@@ -292,6 +292,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` as one record.
+
+    ``x`` is [p, q] and ``w`` is [q, s]; ``b`` is either [s] (one bias per
+    output column) or [p, s] (one per output entry). The bias is added into
+    the product's own buffer, so the result has the bits of
+    ``add(matmul(x, w), b)``.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape}")
+    out_shape = (x.shape[0], w.shape[1])
+    if b.shape not in (out_shape[1:], out_shape):
+        raise ShapeError(f"linear: bias {b.shape} fits neither {out_shape[1:]} nor {out_shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+    out = Tensor._wrap(out_data, x.requires_grad or w.requires_grad or b.requires_grad)
+    x_data, w_data = x.data, w.data
+    row_bias = b.ndim == 1
+
+    def backward(g):
+        gx = g @ w_data.T if x.requires_grad else None
+        gw = x_data.T @ g if w.requires_grad else None
+        gb = None
+        if b.requires_grad:
+            gb = g.sum(axis=0) if row_bias else g
+        return gx, gw, gb
+
+    return _record((x, w, b), out, backward)
+
+
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -389,6 +419,29 @@ def concat(tensors, axis=-1) -> Tensor:
 # nonlinearities and normalization
 
 
+def _softmax(x, out):
+    """Row softmax of ``x`` along its last axis, written into ``out``.
+
+    ``out`` is a buffer the caller allocated; it may be ``x`` itself when the
+    caller owns ``x``. Non-finite entries raise.
+    """
+    if not np.isfinite(x).all():
+        raise NumericError("softmax received non-finite input")
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_vjp(y, g):
+    """y * (g - sum(g * y)) per row, into one new buffer; ``g`` is only read."""
+    gx = g * y
+    dot = gx.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gx)
+    gx *= y
+    return gx
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis with per-row max subtraction.
 
@@ -397,18 +450,66 @@ def softmax_rows(x: Tensor) -> Tensor:
     """
     if x.ndim < 1:
         raise ShapeError("softmax_rows expects at least 1-D input")
-    if not np.isfinite(x.data).all():
-        raise NumericError("softmax_rows received non-finite input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data, np.empty_like(x.data))
     out = Tensor._wrap(y, x.requires_grad)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_vjp(y, g),)
 
     return _record((x,), out, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, batch_size: int, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [B*n, c] rows, as one record.
+
+    Rows are image-major; head ``j`` reads columns [j*dh, (j+1)*dh) with
+    dh = c / heads. Per image and head: softmax(q k^T / sqrt(dh)) v. The
+    backward is hand-written and performs the same float operations as the
+    reshape/transpose/matmul/scale/softmax/matmul chain it replaces.
+    """
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"attention: q/k/v shapes {q.shape}/{k.shape}/{v.shape} differ or are not 2-D")
+    rows, c = q.shape
+    if batch_size < 1 or rows % batch_size or heads < 1 or c % heads:
+        raise ShapeError(
+            f"attention: {q.shape} rows do not split into {batch_size} images "
+            f"of {heads} heads")
+    n, dh = rows // batch_size, c // heads
+    s = 1.0 / math.sqrt(dh)
+
+    def split(a):  # [B*n, c] -> [B, heads, n, dh] view
+        return a.reshape(batch_size, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merged():  # a new [B*n, c] buffer and its split view
+        buf = np.empty((rows, c), dtype=q.data.dtype)
+        return buf, split(buf)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    y = qh @ kh.swapaxes(-1, -2)
+    y *= s
+    _softmax(y, y)
+    out_data, out4 = merged()
+    np.matmul(y, vh, out=out4)
+    out = Tensor._wrap(out_data, q.requires_grad or k.requires_grad or v.requires_grad)
+
+    def backward(g):
+        g4 = split(g)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv, gv4 = merged()
+            np.matmul(y.swapaxes(-1, -2), g4, out=gv4)
+        if q.requires_grad or k.requires_grad:
+            gl = _softmax_vjp(y, g4 @ vh.swapaxes(-1, -2))
+            gl *= s
+            if q.requires_grad:
+                gq, gq4 = merged()
+                np.matmul(gl, kh, out=gq4)
+            if k.requires_grad:
+                gk = (qh.swapaxes(-1, -2) @ gl).transpose(0, 3, 1, 2).reshape(rows, c)
+        return gq, gk, gv
+
+    return _record((q, k, v), out, backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
@@ -419,23 +520,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} != ({d},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._wrap(xhat * gamma.data + beta.data, x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor._wrap(y, x.requires_grad or gamma.requires_grad or beta.requires_grad)
     gamma_data = gamma.data
 
     def backward(g):
-        gx = None
+        gx = ggamma = gbeta = None
+        if gamma.requires_grad:
+            ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        if beta.requires_grad:
+            gbeta = g.reshape(-1, d).sum(axis=0)
         if x.requires_grad:
-            gh = g * gamma_data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (gh - m1 - xhat * m2)
-        ggamma = (g * xhat).reshape(-1, d).sum(axis=0) if gamma.requires_grad else None
-        gbeta = g.reshape(-1, d).sum(axis=0) if beta.requires_grad else None
+            gx = g * gamma_data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            tmp = gx * xhat
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m2, out=tmp)
+            gx -= m1
+            gx -= tmp
+            gx *= inv
         return gx, ggamma, gbeta
 
     return _record((x, gamma, beta), out, backward)
@@ -444,14 +552,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """GELU via the tanh approximation (agrees with the erf form to ~1e-3)."""
     xd = x.data
-    inner = _GELU_K * (xd + _GELU_A * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = Tensor._wrap(0.5 * xd * (1.0 + t), x.requires_grad)
+    t = xd * xd
+    t *= xd
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_K
+    np.tanh(t, out=t)  # t = tanh(K (x + A x^3))
+    y = xd * 0.5
+    y *= t + 1.0
+    out = Tensor._wrap(y, x.requires_grad)
 
     def backward(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_K * (1.0 + 3.0 * _GELU_A * xd * xd)
-        return (g * d,)
+        # d = 0.5 (1 + t) + 0.5 x sech^2 K (1 + 3 A x^2), in that order
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        w = xd * 0.5
+        w *= d
+        w *= _GELU_K
+        np.multiply(xd, 3.0 * _GELU_A, out=d)
+        d *= xd
+        d += 1.0
+        w *= d
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += w
+        d *= g
+        return (d,)
 
     return _record((x,), out, backward)
 

@@ -2,8 +2,8 @@
 refinement hook.
 
 The backbone runs one image or a batch; features travel as [B*n, c] rows so
-every row-wise op handles the whole batch at once, and attention restacks to
-[B, heads, n, head_dim]. A hook, when installed, receives (layer index i,
+every row-wise op handles the whole batch at once, and the attention op
+splits them into heads itself. A hook, when installed, receives (layer index i,
 features f_i) after each encoder layer and returns a delta of identical
 shape; the refined f_i + delta feeds the next layer and is what gets tapped
 for the decode head.
@@ -11,7 +11,6 @@ for the decode head.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,34 +156,25 @@ class ViTBackbone:
         rows = Tensor(self.patchify(images))
         n, c = self.cfg.num_patches, self.cfg.dim
         bsz = rows.shape[0] // n
-        x = T.add(T.matmul(rows, self.params["patch.W"]), self.params["patch.b"])
+        x = T.linear(rows, self.params["patch.W"], self.params["patch.b"])
         # a [B, n, c] view lets the [n, c] embedding broadcast over the batch
         x = T.add(T.reshape(x, (bsz, n, c)), self.params["pos"])
         return T.reshape(x, (bsz * n, c))
 
     def layer_forward(self, i: int, f: Tensor, batch_size: int = 1) -> Tensor:
         """Apply encoder layer ``i`` (1-based) to [B*n, c] features."""
-        cfg = self.cfg
         p = self.params
         lp = f"layer{i:02d}."
-        n, c, h = cfg.num_patches, cfg.dim, cfg.heads
-        dh = c // h
-
-        def heads_split(t):
-            return T.transpose(T.reshape(t, (batch_size, n, h, dh)), (0, 2, 1, 3))
-
         x = T.layer_norm(f, p[lp + "ln1.g"], p[lp + "ln1.b"])
-        q = heads_split(T.add(T.matmul(x, p[lp + "attn.Wq"]), p[lp + "attn.bq"]))
-        k = heads_split(T.add(T.matmul(x, p[lp + "attn.Wk"]), p[lp + "attn.bk"]))
-        v = heads_split(T.add(T.matmul(x, p[lp + "attn.Wv"]), p[lp + "attn.bv"]))
-        logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        ctx = T.matmul(T.softmax_rows(logits), v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch_size * n, c))
-        f = T.add(f, T.add(T.matmul(ctx, p[lp + "attn.Wo"]), p[lp + "attn.bo"]))
+        q = T.linear(x, p[lp + "attn.Wq"], p[lp + "attn.bq"])
+        k = T.linear(x, p[lp + "attn.Wk"], p[lp + "attn.bk"])
+        v = T.linear(x, p[lp + "attn.Wv"], p[lp + "attn.bv"])
+        ctx = T.attention(q, k, v, batch_size, self.cfg.heads)
+        f = T.add(f, T.linear(ctx, p[lp + "attn.Wo"], p[lp + "attn.bo"]))
 
         x = T.layer_norm(f, p[lp + "ln2.g"], p[lp + "ln2.b"])
-        x = T.gelu(T.add(T.matmul(x, p[lp + "mlp.W1"]), p[lp + "mlp.b1"]))
-        x = T.add(T.matmul(x, p[lp + "mlp.W2"]), p[lp + "mlp.b2"])
+        x = T.gelu(T.linear(x, p[lp + "mlp.W1"], p[lp + "mlp.b1"]))
+        x = T.linear(x, p[lp + "mlp.W2"], p[lp + "mlp.b2"])
         return T.add(f, x)
 
     def forward(self, images: np.ndarray, hook=None):

@@ -3,8 +3,8 @@
 The generalization-trend criterion trains 3 modes x 5 seeds x 2000
 iterations at desk scale, every run fine-tuning the same backbone that
 ``reinlab.pretrain`` pre-trains once per process. It dominates the runtime
-(~6 min on a 2-core machine, pretraining included); everything else
-finishes in seconds.
+(~6 min on a 2-core machine, pretraining included) and is marked ``slow``;
+``pytest -m "not slow"`` runs everything else.
 """
 
 import sys
@@ -192,6 +192,7 @@ def test_row_mass_property():
             f"max |row sum - 1| {worst_row:.1e}")
 
 
+@pytest.mark.slow
 def test_desk_scale_generalization_trend(desk_benchmark):
     seeds = (1, 2, 3, 4, 5)
     results = {}

@@ -120,6 +120,30 @@ def test_materialize_cache_identical():
     assert first.data.tobytes() == plain.data.tobytes()
 
 
+def test_cache_under_tape_raises():
+    # cached tokens are detached: under a tape A, B and W_T would silently
+    # get no gradient, so the cache refuses to serve one
+    params = A.init_parameters(cfg_toy(), seed=5)
+    params.enable_cache()
+    f = Tensor(np.random.default_rng(6).standard_normal((5, 8)))
+    with Tape():
+        with pytest.raises(ContractError, match="tape"):
+            A.materialize_tokens(params, 1)
+        with pytest.raises(ContractError, match="tape"):
+            A.rein_refine(1, f, params)
+    delta, _ = A.rein_refine(1, f, params)  # inference without a tape still works
+    assert delta.shape == (5, 8)
+
+
+def test_cache_under_tape_raises_without_lora():
+    params = A.init_parameters(cfg_toy(use_lora=False), seed=5)
+    params.enable_cache()
+    tokens = A.materialize_tokens(params, 1)
+    with Tape():
+        with pytest.raises(ContractError, match="tape"):
+            A.folded_tokens(params, 1, tokens)
+
+
 def test_materialize_rank_bound_large():
     cfg = A.ReinConfig(c=1024, depth=1, m=100, r=16, c_prime=256)
     params = A.init_parameters(cfg, seed=7)

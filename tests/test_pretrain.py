@@ -49,6 +49,7 @@ def test_checkpoint_records_recipe_and_holds_only_backbone():
     assert ckpt.from_bytes(ckpt.to_bytes()).to_bytes() == ckpt.to_bytes()
 
 
+@pytest.mark.slow  # runs the ~3 min desk recipe (memoised per process)
 def test_desk_modes_share_the_pretrained_backbone():
     recipe = desk_config().pretrain
     assert recipe is not None
@@ -59,6 +60,7 @@ def test_desk_modes_share_the_pretrained_backbone():
             assert model.backbone.state_bytes() == reference, (mode, seed)
 
 
+@pytest.mark.slow  # runs the ~3 min desk recipe (memoised per process)
 def test_desk_recipe_reduces_reconstruction_loss():
     ckpt = pretrained_backbone(desk_config().vit, desk_config().pretrain)
     assert ckpt.meta["recon_loss_last"] < 0.5 * ckpt.meta["recon_loss_first"]

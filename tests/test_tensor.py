@@ -188,6 +188,50 @@ def test_shared_input_grad_not_aliased():
     np.testing.assert_array_equal(y.grad, [2.0, 2.0])
 
 
+def _handing_down(tape, t, upstream):
+    """Identity on ``t`` whose backward hands the ``upstream`` buffer itself
+    to ``t``, whatever gradient reaches it."""
+    out = Tensor(t.data, requires_grad=True)
+    tape.record((t,), out, lambda g: (upstream,))
+    return out
+
+
+# each case: (op on a tuple of leaves, leaf shapes); outputs are [6, 4]
+SHARED_BUFFER_CASES = {
+    "gelu": (lambda a: T.gelu(a[0]), [(6, 4)]),
+    "softmax_rows": (lambda a: T.softmax_rows(a[0]), [(6, 4)]),
+    "layer_norm": (lambda a: T.layer_norm(*a), [(6, 4), (4,), (4,)]),
+    "linear": (lambda a: T.linear(*a), [(6, 3), (3, 4), (4,)]),
+    "attention": (lambda a: T.attention(*a, batch_size=2, heads=2),
+                  [(6, 4), (6, 4), (6, 4)]),
+}
+
+
+@pytest.mark.parametrize("op_name", sorted(SHARED_BUFFER_CASES))
+def test_kernels_never_write_shared_buffers(op_name):
+    # add() hands one gradient buffer to both of its inputs, so the two
+    # consumers below read the same array; a kernel that wrote into it, or
+    # into what its forward saved, would corrupt the other consumer.
+    op, shapes = SHARED_BUFFER_CASES[op_name]
+    rng = np.random.default_rng(8)
+    inputs = [[rng.uniform(-1, 1, sh) for sh in shapes] for _ in range(2)]
+    upstream = rng.uniform(-1, 1, (6, 4)).astype(np.float32)
+    kept = upstream.copy()
+    leaves = [[leaf(a) for a in arrs] for arrs in inputs]
+    with Tape() as tape:
+        outs = [op(ls) for ls in leaves]
+        s = T.add(*outs)
+        tape.backward(T.sum_all(_handing_down(tape, s, upstream)))
+    assert upstream.tobytes() == kept.tobytes()
+    for arrs, ls, out in zip(inputs, leaves, outs):
+        assert out.data.tobytes() == op([leaf(a) for a in arrs]).data.tobytes()
+        fresh = [leaf(a) for a in arrs]
+        with Tape() as tape:
+            tape.backward(T.sum_all(_handing_down(tape, op(fresh), kept.copy())))
+        for got, want in zip(ls, fresh):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+
 def test_composite_softmax_matmul_matches_fd():
     with T.using_dtype(np.float64):
         for seed in SEEDS:
@@ -306,6 +350,18 @@ OP_CASES = {
         lambda a: T.cross_entropy_logits(a, np.array([0, 2, 1, 255]), 255),
         [_rand(rng, (4, 3))],
     ),
+    "linear": lambda rng: (
+        lambda x, w, b, u: T.sum_all(T.mul(T.linear(x, w, b), u)),
+        [_rand(rng, (3, 4)), _rand(rng, (4, 2)), _rand(rng, (2,)), _rand(rng, (3, 2))],
+    ),
+    "linear_entry_bias": lambda rng: (
+        lambda x, w, b, u: T.sum_all(T.mul(T.linear(x, w, b), u)),
+        [_rand(rng, (3, 4)), _rand(rng, (4, 2)), _rand(rng, (3, 2)), _rand(rng, (3, 2))],
+    ),
+    "attention": lambda rng: (
+        lambda q, k, v, u: T.sum_all(T.mul(T.attention(q, k, v, 2, 2), u)),
+        [_rand(rng, (6, 4)) for _ in range(4)],
+    ),
 }
 
 
@@ -390,6 +446,69 @@ def test_cross_entropy_on_transposed_view_matches_loop_and_fd():
     with T.using_dtype(np.float64):
         fd_check(lambda x: T.cross_entropy_logits(T.transpose(x), labels),
                  [leaf(class_major)], tol=1e-6, h=1e-5)
+
+
+def _unfused_attention(q, k, v, batch_size, heads):
+    """The tape chain ``attention`` replaces, op by op."""
+    rows, c = q.shape
+    n, dh = rows // batch_size, c // heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (batch_size, n, heads, dh)), (0, 2, 1, 3))
+
+    logits = T.scale(T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2))),
+                     1.0 / math.sqrt(dh))
+    ctx = T.matmul(T.softmax_rows(logits), split(v))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows, c))
+
+
+def _value_and_grads(build, arrays, weight):
+    leaves = [leaf(a) for a in arrays]
+    with Tape() as tape:
+        out = build(*leaves)
+        tape.backward(T.sum_all(T.mul(out, leaf(weight, rg=False))))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+def test_fused_ops_match_unfused_chains_bytewise():
+    # desk encoder shapes: B=4 images of n=64 patches, c=64, 4 heads
+    rng = np.random.default_rng(21)
+    rows, c = 4 * 64, 64
+    qkv = [rng.standard_normal((rows, c)).astype(np.float32) for _ in range(3)]
+    weight = rng.standard_normal((rows, c)).astype(np.float32)
+    fused = _value_and_grads(lambda q, k, v: T.attention(q, k, v, 4, 4), qkv, weight)
+    chain = _value_and_grads(lambda q, k, v: _unfused_attention(q, k, v, 4, 4), qkv, weight)
+    assert fused == chain
+
+    x = rng.standard_normal((rows, c)).astype(np.float32)
+    w = rng.standard_normal((c, 256)).astype(np.float32)
+    weight = rng.standard_normal((rows, 256)).astype(np.float32)
+    for bias in (rng.standard_normal(256), rng.standard_normal((rows, 256))):
+        arrays = [x, w, bias.astype(np.float32)]
+        fused = _value_and_grads(T.linear, arrays, weight)
+        chain = _value_and_grads(lambda a, b_, c_: T.add(T.matmul(a, b_), c_), arrays, weight)
+        assert fused == chain
+
+
+def test_linear_and_attention_shape_errors():
+    with pytest.raises(ShapeError):
+        T.linear(leaf(np.zeros((2, 3))), leaf(np.zeros((3, 4))), leaf(np.zeros((2, 3))))
+    with pytest.raises(ShapeError):
+        T.linear(leaf(np.zeros((2, 3))), leaf(np.zeros((2, 4))), leaf(np.zeros(4)))
+    q = leaf(np.zeros((6, 4)))
+    with pytest.raises(ShapeError):
+        T.attention(q, q, q, batch_size=4, heads=2)
+    with pytest.raises(ShapeError):
+        T.attention(q, q, q, batch_size=2, heads=3)
+    with pytest.raises(ShapeError):
+        T.attention(q, q, leaf(np.zeros((6, 2))), batch_size=2, heads=2)
+
+
+def test_attention_nonfinite_logits_rejected():
+    q = np.zeros((4, 2))
+    q[1, 0] = np.inf
+    with pytest.raises(NumericError):
+        T.attention(leaf(q), leaf(np.ones((4, 2))), leaf(np.ones((4, 2))), 1, 1)
 
 
 def test_slice_errors():

@@ -141,3 +141,16 @@ def test_same_seed_same_bytes():
     _, out_a = a.forward(img)
     _, out_b = b.forward(img)
     assert out_a.data.tobytes() == out_b.data.tobytes()
+
+
+def test_layer_forward_adds_twelve_tape_records():
+    # layer norm, q/k/v linears, attention, output linear, residual add,
+    # layer norm, two MLP linears around GELU, residual add
+    cfg = toy_cfg()
+    bb = ViTBackbone(cfg, np.random.default_rng(0))
+    imgs = np.stack([rand_image(np.random.default_rng(s), 32) for s in (1, 2)])
+    with T.Tape() as tape:
+        f = bb.embed(imgs)
+        before = len(tape)
+        bb.layer_forward(1, f, batch_size=2)
+        assert len(tape) - before == 12
