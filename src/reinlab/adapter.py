@@ -17,8 +17,7 @@ initialization.
 Tokens also produce per-layer query sets Q_i = T_i W_Q + b_Q, combined into
 a single query matrix via elementwise max / mean across layers plus the last
 layer, for a query-based decode head. MLP weights (W_T, W_f, W_Q) may be
-shared across layers, and both products T_i and T_i[1:] W_T + b_T can be
-cached for inference.
+shared across layers.
 """
 
 from __future__ import annotations
@@ -74,20 +73,22 @@ class ReinConfig:
         return cls(**{**kw, **VARIANTS[variant]})
 
 
-class ReinAdapterParams:
-    """Parameter store with canonical tensor names.
+class ReinAdapter:
+    """Adapter parameters and the backbone hook that applies them.
 
     Per-layer tensors live under ``adapter.layerNN.*`` (1-based), shared
     MLPs under ``adapter.shared.*`` and the query-fusion map under
     ``adapter.final.*``.
+
+    Calling the adapter as ``hook(i, f_i)`` returns the layer's feature
+    delta and stashes its query set; ``aggregate_query()`` fuses the stash
+    once the forward pass has visited every layer.
     """
 
     def __init__(self, cfg: ReinConfig, tensors: dict):
         self.cfg = cfg
         self.tensors = tensors
-        self.cache_enabled = False
-        self._token_cache = {}
-        self._folded_cache = {}
+        self._queries = []
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -100,14 +101,30 @@ class ReinAdapterParams:
         scope = "adapter.shared" if self.cfg.use_share else f"adapter.layer{i:02d}"
         return self.tensors[f"{scope}.W_{kind}"], self.tensors[f"{scope}.b_{kind}"]
 
-    def enable_cache(self):
-        """Freeze token products for repeated inference passes; using the
-        cache under an active tape raises ``ContractError``."""
-        self.cache_enabled = True
+    def __call__(self, i: int, f: Tensor) -> Tensor:
+        if i == 1:
+            self._queries = []
+        delta, q_i = rein_refine(i, f, self)
+        if q_i is not None:
+            self._queries.append(q_i)
+        return delta
+
+    def aggregate_query(self) -> Tensor:
+        if not self.cfg.use_link:
+            raise ContractError("aggregate_query requires the link variant")
+        if len(self._queries) != self.cfg.depth:
+            raise ContractError(
+                f"saw {len(self._queries)} layer queries, expected {self.cfg.depth}"
+            )
+        return aggregate_queries(
+            self._queries,
+            self["adapter.final.W_Q_cat"],
+            self["adapter.final.b_Q_cat"],
+        )
 
 
-def init_parameters(cfg: ReinConfig, seed) -> ReinAdapterParams:
-    """Build the adapter parameter set.
+def init_parameters(cfg: ReinConfig, seed) -> ReinAdapter:
+    """Build an adapter with freshly drawn parameters.
 
     Uniform entries are drawn from (-1/sqrt(fan_in), 1/sqrt(fan_in)) where
     fan_in is the dimension the matrix contracts in its defining product;
@@ -150,71 +167,25 @@ def init_parameters(cfg: ReinConfig, seed) -> ReinAdapterParams:
     if cfg.use_link:
         p["adapter.final.W_Q_cat"] = uniform((3 * cp, cp), 3 * cp)
         p["adapter.final.b_Q_cat"] = zeros((cp,))
-    return ReinAdapterParams(cfg, p)
+    return ReinAdapter(cfg, p)
 
 
 # ---------------------------------------------------------------------------
 # the refinement chain
 
 
-def _check_cache_off_tape(params: ReinAdapterParams):
-    """The caches hold detached tensors, so under a tape A, B and W_T would
-    silently get no gradient."""
-    if params.cache_enabled and T.active_tape() is not None:
-        raise ContractError("adapter token cache is enabled under an active tape; "
-                            "it is for inference only")
-
-
-def materialize_tokens(params: ReinAdapterParams, i: int) -> Tensor:
-    """Token sequence T_i as an [m, c] tensor (A_i x B_i when factorized).
-
-    With the cache enabled, repeated calls return the identical tensor
-    object, detached from the parameters.
-    """
-    _check_cache_off_tape(params)
-    cfg = params.cfg
-    if not cfg.use_lora:
-        return params[f"adapter.layer{i:02d}.T"]
-    if params.cache_enabled:
-        cached = params._token_cache.get(i)
-        if cached is not None:
-            return cached
-    tokens = T.matmul(params[f"adapter.layer{i:02d}.A"],
-                      params[f"adapter.layer{i:02d}.B"])
-    if params.cache_enabled:
-        tokens = tokens.detach()
-        params._token_cache[i] = tokens
-    return tokens
+def materialize_tokens(adapter: ReinAdapter, i: int) -> Tensor:
+    """Token sequence T_i as an [m, c] tensor (A_i x B_i when factorized)."""
+    if not adapter.cfg.use_lora:
+        return adapter[f"adapter.layer{i:02d}.T"]
+    return T.matmul(adapter[f"adapter.layer{i:02d}.A"],
+                    adapter[f"adapter.layer{i:02d}.B"])
 
 
 def similarity_map(f: Tensor, tokens: Tensor, c: int) -> Tensor:
     """Row-softmax of f tokens^T / sqrt(c); rows sum to one."""
     logits = T.scale(T.matmul(f, T.transpose(tokens)), 1.0 / math.sqrt(c))
     return T.softmax_rows(logits)
-
-
-def folded_tokens(params: ReinAdapterParams, i: int, tokens: Tensor) -> Tensor:
-    """T_i[1:] W_T + b_T, cached alongside the tokens when enabled."""
-    _check_cache_off_tape(params)
-    w, b = params.mlp("T", i)
-    if params.cache_enabled:
-        cached = params._folded_cache.get(i)
-        if cached is not None:
-            return cached
-    folded = T.linear(T.row_slice(tokens, 1, params.cfg.m), w, b)
-    if params.cache_enabled:
-        folded = folded.detach()
-        params._folded_cache[i] = folded
-    return folded
-
-
-def token_delta(sim: Tensor, tokens: Tensor, w_t: Tensor, b_t: Tensor) -> Tensor:
-    """First-token-excluded combination S[:, 1:] (T[1:] W_T + b_T)."""
-    m = tokens.shape[0]
-    if m < 2:
-        raise ConfigError("token_delta needs m >= 2 (first token is dropped)")
-    folded = T.linear(T.row_slice(tokens, 1, m), w_t, b_t)
-    return T.matmul(T.col_slice(sim, 1, m), folded)
 
 
 def feature_delta(dbar: Tensor, f: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
@@ -236,58 +207,18 @@ def aggregate_queries(qs, w_cat: Tensor, b_cat: Tensor) -> Tensor:
     return T.linear(fused, w_cat, b_cat)
 
 
-def rein_refine(i: int, f: Tensor, params: ReinAdapterParams):
+def rein_refine(i: int, f: Tensor, adapter: ReinAdapter):
     """One layer of refinement; returns (delta_f_i, Q_i or None)."""
-    cfg = params.cfg
-    tokens = materialize_tokens(params, i)
+    cfg = adapter.cfg
+    tokens = materialize_tokens(adapter, i)
     sim = similarity_map(f, tokens, cfg.c)
-    folded = folded_tokens(params, i, tokens)
+    w_t, b_t = adapter.mlp("T", i)
+    folded = T.linear(T.row_slice(tokens, 1, cfg.m), w_t, b_t)
     dbar = T.matmul(T.col_slice(sim, 1, cfg.m), folded)
-    w_f, b_f = params.mlp("f", i)
+    w_f, b_f = adapter.mlp("f", i)
     delta = feature_delta(dbar, f, w_f, b_f)
     q_i = None
     if cfg.use_link:
-        w_q, b_q = params.mlp("Q", i)
+        w_q, b_q = adapter.mlp("Q", i)
         q_i = layer_queries(tokens, w_q, b_q)
     return delta, q_i
-
-
-class ReinAdapter:
-    """Backbone hook wrapping a parameter set.
-
-    Calling the adapter as ``hook(i, f_i)`` returns the layer's feature
-    delta and stashes its query set; ``aggregate_query()`` fuses the stash
-    once the forward pass has visited every layer.
-    """
-
-    def __init__(self, params: ReinAdapterParams):
-        self.params = params
-        self._queries = []
-
-    @property
-    def cfg(self) -> ReinConfig:
-        return self.params.cfg
-
-    def __call__(self, i: int, f: Tensor) -> Tensor:
-        if i == 1:
-            self._queries = []
-        delta, q_i = rein_refine(i, f, self.params)
-        if q_i is not None:
-            self._queries.append(q_i)
-        return delta
-
-    def aggregate_query(self) -> Tensor:
-        if not self.cfg.use_link:
-            raise ContractError("aggregate_query requires the link variant")
-        if len(self._queries) != self.cfg.depth:
-            raise ContractError(
-                f"saw {len(self._queries)} layer queries, expected {self.cfg.depth}"
-            )
-        return aggregate_queries(
-            self._queries,
-            self.params["adapter.final.W_Q_cat"],
-            self.params["adapter.final.b_Q_cat"],
-        )
-
-    def named_tensors(self):
-        return self.params.named_tensors()

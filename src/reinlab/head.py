@@ -71,15 +71,6 @@ def bilinear_matrix(src_hw, dst_hw):
     return p
 
 
-@dataclass
-class SegPrediction:
-    class_logits: Tensor | None   # [q, K]
-    mask_logits: Tensor | None    # [q, n]
-    fused_coarse: Tensor          # [K, n] pre-upsample scores
-    pixel_rows: Tensor            # [H*W, K] upsampled logits
-    out_hw: tuple
-
-
 class SegHead:
     """Decode head over tapped features; stateless given its parameters."""
 
@@ -166,16 +157,6 @@ class SegHead:
                       self._upsample)
         rows = T.transpose(T.reshape(up, (k, -1)))
         return rows, class_logits, mask_logits, coarse
-
-    def decode(self, tapped, query=None) -> SegPrediction:
-        """Single-image decode to a SegPrediction."""
-        rows, class_logits, mask_logits, coarse = self.decode_rows(tapped, query)
-        return SegPrediction(class_logits, mask_logits, coarse, rows, self.out_hw)
-
-
-def segmentation_loss(pred: SegPrediction, label: np.ndarray) -> Tensor:
-    """Mean per-pixel cross-entropy over non-ignored pixels (255 = ignore)."""
-    return T.cross_entropy_logits(pred.pixel_rows, np.asarray(label).reshape(-1))
 
 
 def miou(pred_labels: np.ndarray, gt_labels: np.ndarray, num_classes: int,

@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .adapter import ReinAdapter, ReinConfig, init_parameters
+from .adapter import ReinConfig, init_parameters
 from .errors import ConfigError, ContractError
-from .head import HeadConfig, SegHead, SegPrediction
+from .head import HeadConfig, SegHead
 from .vit import ViTBackbone, ViTConfig
 
 MODES = ("full", "freeze", "rein")
@@ -56,8 +56,7 @@ class SegModel:
         self.adapter = None
         linked = False
         if mode == "rein":
-            params = init_parameters(rein_cfg, (self.seed, _STREAM_ADAPTER))
-            self.adapter = ReinAdapter(params)
+            self.adapter = init_parameters(rein_cfg, (self.seed, _STREAM_ADAPTER))
             linked = rein_cfg.use_link
         if query_dim is None:
             query_dim = rein_cfg.c_prime if rein_cfg is not None else 16
@@ -104,35 +103,16 @@ class SegModel:
 
     def forward_rows(self, images: np.ndarray):
         """Decode a [B,3,H,W] batch to per-pixel logit rows [B*H*W, K]."""
-        if images.ndim == 3:
-            images = images[None]
         bsz = images.shape[0]
-        hook = self.adapter if self.adapter is not None else None
-        tapped, _ = self.backbone.forward(images, hook=hook)
+        tapped, _ = self.backbone.forward(images, hook=self.adapter)
         query = None
         if self.adapter is not None and self.adapter.cfg.use_link:
             query = self.adapter.aggregate_query()
         rows, _, _, _ = self.head.decode_rows(tapped, query, bsz)
         return rows
 
-    def predict(self, image: np.ndarray) -> SegPrediction:
-        """Single-image forward to a full prediction record."""
-        hook = self.adapter if self.adapter is not None else None
-        tapped, _ = self.backbone.forward(image, hook=hook)
-        query = None
-        if self.adapter is not None and self.adapter.cfg.use_link:
-            query = self.adapter.aggregate_query()
-        return self.head.decode(tapped, query)
-
-    def tapped_features(self, image: np.ndarray):
-        hook = self.adapter if self.adapter is not None else None
-        tapped, _ = self.backbone.forward(image, hook=hook)
-        return tapped
-
     def predict_labels(self, images: np.ndarray) -> np.ndarray:
         """Argmax label maps [B, H, W] for a batch, without building grads."""
-        if images.ndim == 3:
-            images = images[None]
         bsz = images.shape[0]
         rows = self.forward_rows(images)
         hw = self.vit_cfg.image_size
@@ -140,9 +120,6 @@ class SegModel:
 
     def batch_loss(self, images: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy over a batch; labels [B, H, W] with 255 ignore."""
-        if images.ndim == 3:
-            images = images[None]
-            labels = labels[None]
         if images.shape[0] != labels.shape[0]:
             raise ContractError(
                 f"batch size mismatch: {images.shape[0]} images vs "

@@ -29,10 +29,6 @@ _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 def set_default_dtype(dtype):
     """Set the dtype used for newly created tensors (float32 or float64)."""
     global _DEFAULT_DTYPE
@@ -95,40 +91,12 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self):
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor._wrap(self.data, False)
-
     def accumulate_grad(self, g):
         if not self.requires_grad:
             return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def backward(self, tape=None):
-        """Run reverse-mode accumulation from this scalar root."""
-        if tape is None:
-            tape = active_tape()
-        if tape is None:
-            raise ContractError("backward() requires an active or explicit tape")
-        tape.backward(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
 
     def __repr__(self):
         return (

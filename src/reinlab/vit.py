@@ -1,7 +1,7 @@
 """Plain pre-norm vision transformer with an optional between-layer
 refinement hook.
 
-The backbone runs one image or a batch; features travel as [B*n, c] rows so
+The backbone runs a [B,3,H,W] batch; features travel as [B*n, c] rows so
 every row-wise op handles the whole batch at once, and the attention op
 splits them into heads itself. A hook, when installed, receives (layer index i,
 features f_i) after each encoder layer and returns a delta of identical
@@ -139,13 +139,11 @@ class ViTBackbone:
     def patchify(self, images: np.ndarray) -> np.ndarray:
         """[B,3,H,W] -> [B*n, 3*p*p] rows, patches in row-major grid order."""
         cfg = self.cfg
-        if images.ndim == 3:
-            images = images[None]
-        b, ch, h, w = images.shape
-        if ch != 3 or h != cfg.image_size or w != cfg.image_size:
+        if images.ndim != 4 or images.shape[1:] != (3, cfg.image_size, cfg.image_size):
             raise ShapeError(
                 f"expected [B,3,{cfg.image_size},{cfg.image_size}] image, got {images.shape}"
             )
+        b = images.shape[0]
         g, ps = cfg.grid, cfg.patch_size
         x = images.reshape(b, 3, g, ps, g, ps)
         x = x.transpose(0, 2, 4, 1, 3, 5).reshape(b * g * g, 3 * ps * ps)
@@ -183,8 +181,6 @@ class ViTBackbone:
         ``hook(i, f_i) -> delta_i`` runs after every layer; the refined
         ``f_i + delta_i`` feeds layer i+1 and is what tap layers expose.
         """
-        if images.ndim == 3:
-            images = images[None]
         bsz = images.shape[0]
         f = self.embed(images)
         taps = {}

@@ -25,3 +25,20 @@ def tiny_train_config(data_root, mode="rein", variant="rein-lora", **overrides):
                 data_root=str(data_root), seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+# What the acceptance tests print, gathered from their captured output so
+# that a run without ``-s`` still shows one line per criterion.
+_ACCEPTANCE_LINES = []
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call" and "test_acceptance.py::" in report.nodeid:
+        _ACCEPTANCE_LINES.extend(report.capstdout.splitlines())
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance criteria")
+        for line in _ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)

@@ -1,4 +1,4 @@
-"""Refinement adapter: init contract, chain math vs oracles, sharing, caching."""
+"""Refinement adapter: init contract, chain math vs oracles, sharing."""
 
 import math
 
@@ -110,40 +110,6 @@ def test_materialize_hand_product():
     np.testing.assert_array_equal(tokens.data, [[2.0, 3.0], [0.0, 0.0]])
 
 
-def test_materialize_cache_identical():
-    params = A.init_parameters(cfg_toy(), seed=5)
-    plain = A.materialize_tokens(params, 1)
-    params.enable_cache()
-    first = A.materialize_tokens(params, 1)
-    second = A.materialize_tokens(params, 1)
-    assert first is second
-    assert first.data.tobytes() == plain.data.tobytes()
-
-
-def test_cache_under_tape_raises():
-    # cached tokens are detached: under a tape A, B and W_T would silently
-    # get no gradient, so the cache refuses to serve one
-    params = A.init_parameters(cfg_toy(), seed=5)
-    params.enable_cache()
-    f = Tensor(np.random.default_rng(6).standard_normal((5, 8)))
-    with Tape():
-        with pytest.raises(ContractError, match="tape"):
-            A.materialize_tokens(params, 1)
-        with pytest.raises(ContractError, match="tape"):
-            A.rein_refine(1, f, params)
-    delta, _ = A.rein_refine(1, f, params)  # inference without a tape still works
-    assert delta.shape == (5, 8)
-
-
-def test_cache_under_tape_raises_without_lora():
-    params = A.init_parameters(cfg_toy(use_lora=False), seed=5)
-    params.enable_cache()
-    tokens = A.materialize_tokens(params, 1)
-    with Tape():
-        with pytest.raises(ContractError, match="tape"):
-            A.folded_tokens(params, 1, tokens)
-
-
 def test_materialize_rank_bound_large():
     cfg = A.ReinConfig(c=1024, depth=1, m=100, r=16, c_prime=256)
     params = A.init_parameters(cfg, seed=7)
@@ -199,27 +165,51 @@ def test_similarity_width_mismatch():
 # deltas
 
 
+def core_refine(f, tokens, w_t, b_t, w_f, b_f):
+    """One ``rein_refine`` layer of a core adapter whose tensors are set by
+    hand; returns (delta, f) as float32 arrays."""
+    m, c = tokens.shape
+    adapter = A.init_parameters(
+        A.ReinConfig.from_variant("rein-core", c=c, depth=1, m=m), seed=0)
+    for name, value in (("T", tokens), ("W_T", w_t), ("b_T", b_t),
+                        ("W_f", w_f), ("b_f", b_f)):
+        adapter[f"adapter.layer01.{name}"].data[:] = value
+    f = Tensor(f)
+    delta, _ = A.rein_refine(1, f, adapter)
+    return delta.data, f.data
+
+
+def token_mix(f, tokens, w_t, b_t):
+    """dbar = S[:, 1:] (T[1:] W_T + b_T): with W_f = I and b_f = 0 the
+    layer delta is dbar + f."""
+    c = tokens.shape[1]
+    delta, f = core_refine(f, tokens, w_t, b_t, np.eye(c), np.zeros(c))
+    return delta - f
+
+
 def test_token_delta_hand_case():
-    # weights 0.1192 on the single kept token [-1] -> -0.1192
-    sim = Tensor([[0.8808, 0.1192]])
-    tokens = Tensor([[5.0], [-1.0]])
-    out = A.token_delta(sim, tokens, Tensor([[1.0]]), Tensor([0.0]))
-    np.testing.assert_allclose(out.data, [[-0.1192]], atol=1e-3)
+    # f = 1/3 against tokens [5] and [-1] gives the map [0.8808, 0.1192];
+    # weight 0.1192 on the single kept token [-1] -> -0.1192
+    out = token_mix(np.array([[1.0 / 3.0]]), np.array([[5.0], [-1.0]]),
+                    np.array([[1.0]]), np.array([0.0]))
+    np.testing.assert_allclose(out, [[-0.1192]], atol=1e-3)
 
 
 def test_token_delta_zero_map():
     rng = np.random.default_rng(4)
-    sim = T.softmax_rows(Tensor(rng.standard_normal((3, 4)))).detach()
-    tokens = Tensor(rng.standard_normal((4, 8)))
-    out = A.token_delta(sim, tokens, Tensor(np.zeros((8, 8))), Tensor(np.zeros(8)))
-    assert np.all(out.data == 0.0)
+    out = token_mix(rng.standard_normal((3, 8)), rng.standard_normal((4, 8)),
+                    np.zeros((8, 8)), np.zeros(8))
+    assert np.all(out == 0.0)
 
 
 def test_token_delta_all_mass_on_excluded_token():
-    sim = Tensor([[1.0, 0.0, 0.0]])
-    tokens = Tensor(np.random.default_rng(5).standard_normal((3, 4)))
-    out = A.token_delta(sim, tokens, Tensor(np.eye(4)), Tensor(np.zeros(4)))
-    assert np.max(np.abs(out.data)) == 0.0
+    # the first token outscores the others by thousands of logits, so the
+    # kept columns of the map underflow to exactly zero
+    tokens = np.random.default_rng(5).standard_normal((3, 4))
+    tokens[0] = [1000.0, 0.0, 0.0, 0.0]
+    out = token_mix(np.array([[10.0, 0.0, 0.0, 0.0]]), tokens, np.eye(4),
+                    np.zeros(4))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_feature_delta_zero_weights_is_identity_start():
@@ -250,9 +240,7 @@ def test_chain_matches_straight_line_recomputation():
     w_f = rng.standard_normal((c, c)).astype(np.float32)
     b_f = rng.standard_normal(c).astype(np.float32)
 
-    sim = A.similarity_map(Tensor(f), Tensor(tok), c)
-    dbar = A.token_delta(sim, Tensor(tok), Tensor(w_t), Tensor(b_t))
-    got = A.feature_delta(dbar, Tensor(f), Tensor(w_f), Tensor(b_f)).data
+    got, _ = core_refine(f, tok, w_t, b_t, w_f, b_f)
 
     logits = (f.astype(np.float64) @ tok.astype(np.float64).T) / math.sqrt(c)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -375,13 +363,12 @@ def test_full_chain_matches_procedure_transcription():
     # literal per-layer transcription of the training-procedure inner loop,
     # written in plain numpy
     cfg = cfg_toy()
-    params = A.init_parameters(cfg, seed=25)
-    params["adapter.shared.W_f"].data[:] = np.random.default_rng(26).standard_normal(
+    adapter = A.init_parameters(cfg, seed=25)
+    adapter["adapter.shared.W_f"].data[:] = np.random.default_rng(26).standard_normal(
         (8, 8)).astype(np.float32) * 0.2
     rng = np.random.default_rng(27)
     f = rng.standard_normal((6, 8)).astype(np.float32)
 
-    adapter = A.ReinAdapter(params)
     got_f = f.copy()
     got_deltas = []
     for i in (1, 2):
@@ -390,18 +377,18 @@ def test_full_chain_matches_procedure_transcription():
         got_f = got_f + d.data
     got_q = adapter.aggregate_query().data
 
-    w_t = params["adapter.shared.W_T"].data.astype(np.float64)
-    b_t = params["adapter.shared.b_T"].data.astype(np.float64)
-    w_f = params["adapter.shared.W_f"].data.astype(np.float64)
-    b_f = params["adapter.shared.b_f"].data.astype(np.float64)
-    w_q = params["adapter.shared.W_Q"].data.astype(np.float64)
-    b_q = params["adapter.shared.b_Q"].data.astype(np.float64)
+    w_t = adapter["adapter.shared.W_T"].data.astype(np.float64)
+    b_t = adapter["adapter.shared.b_T"].data.astype(np.float64)
+    w_f = adapter["adapter.shared.W_f"].data.astype(np.float64)
+    b_f = adapter["adapter.shared.b_f"].data.astype(np.float64)
+    w_q = adapter["adapter.shared.W_Q"].data.astype(np.float64)
+    b_q = adapter["adapter.shared.b_Q"].data.astype(np.float64)
     ref_f = f.astype(np.float64)
     ref_qs = []
     for i in (1, 2):
         lp = f"adapter.layer{i:02d}."
-        tok = params[lp + "A"].data.astype(np.float64) @ \
-            params[lp + "B"].data.astype(np.float64)
+        tok = adapter[lp + "A"].data.astype(np.float64) @ \
+            adapter[lp + "B"].data.astype(np.float64)
         logits = ref_f @ tok.T / math.sqrt(cfg.c)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         s = e / e.sum(axis=1, keepdims=True)
@@ -413,8 +400,8 @@ def test_full_chain_matches_procedure_transcription():
     q_cat = np.concatenate(
         [np.maximum(ref_qs[0], ref_qs[1]), (ref_qs[0] + ref_qs[1]) / 2, ref_qs[1]],
         axis=1)
-    ref_q = q_cat @ params["adapter.final.W_Q_cat"].data.astype(np.float64) + \
-        params["adapter.final.b_Q_cat"].data
+    ref_q = q_cat @ adapter["adapter.final.W_Q_cat"].data.astype(np.float64) + \
+        adapter["adapter.final.b_Q_cat"].data
     np.testing.assert_allclose(got_f, ref_f, atol=1e-5)
     np.testing.assert_allclose(got_q, ref_q, atol=1e-5)
 
@@ -462,15 +449,3 @@ def test_share_gradient_equals_sum_of_untied():
         total = sum(untied[f"adapter.layer{i:02d}.W_T"].grad for i in (1, 2, 3))
         assert T.relative_error(shared["adapter.shared.W_T"].grad, total) <= 1e-4
 
-
-def test_precompute_equivalence():
-    params = A.init_parameters(cfg_toy(), seed=35)
-    params["adapter.shared.W_f"].data[:] = 0.1
-    rng = np.random.default_rng(36)
-    f = Tensor(rng.standard_normal((5, 8)))
-    plain = [A.rein_refine(i, f, params) for i in (1, 2)]
-    params.enable_cache()
-    cached = [A.rein_refine(i, f, params) for i in (1, 2)]
-    for (d0, q0), (d1, q1) in zip(plain, cached):
-        assert np.max(np.abs(d0.data - d1.data)) <= 1e-6
-        assert np.max(np.abs(q0.data - q1.data)) <= 1e-6

@@ -36,10 +36,10 @@ def test_zero_query_zero_weights_uniform_logits():
     head.params["head.b_cls"].data[:] = 0.0  # zero every head weight
     tapped = rand_taps(np.random.default_rng(1))
     q = Tensor(np.zeros((4, 4)))
-    pred = head.decode(tapped, q)
+    rows, class_logits, _, _ = head.decode_rows(tapped, q)
     # all-zero class logits -> uniform prediction everywhere
-    assert np.all(pred.class_logits.data == 0.0)
-    assert np.all(pred.pixel_rows.data == 0.0)
+    assert np.all(class_logits.data == 0.0)
+    assert np.all(rows.data == 0.0)
 
 
 def test_single_query_saturated_mask_degenerates():
@@ -51,10 +51,10 @@ def test_single_query_saturated_mask_degenerates():
     head.params["head.b_qd"].data[:] = 10.0
     head.params["head.b_cls"].data[:] = [1.0, 2.0, 3.0]
     tapped = rand_taps(np.random.default_rng(2))
-    pred = head.decode(tapped, Tensor(np.zeros((1, 4))))
-    assert np.all(H.T.sigmoid(pred.mask_logits).data == 1.0)
+    rows, _, mask_logits, _ = head.decode_rows(tapped, Tensor(np.zeros((1, 4))))
+    assert np.all(H.T.sigmoid(mask_logits).data == 1.0)
     np.testing.assert_allclose(
-        pred.pixel_rows.data, np.tile([1.0, 2.0, 3.0], (64, 1)), atol=1e-5)
+        rows.data, np.tile([1.0, 2.0, 3.0], (64, 1)), atol=1e-5)
 
 
 def test_fusion_formula_matches_loop_oracle():
@@ -65,16 +65,16 @@ def test_fusion_formula_matches_loop_oracle():
     head.params["head.b_cls"].data[:] = rng.standard_normal(3) * 0.5
     tapped = rand_taps(rng)
     q = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
-    pred = head.decode(tapped, q)
+    _, class_logits, mask_logits, coarse = head.decode_rows(tapped, q)
 
-    mask = pred.mask_logits.data.astype(np.float64)
-    cls = pred.class_logits.data.astype(np.float64)
+    mask = mask_logits.data.astype(np.float64)
+    cls = class_logits.data.astype(np.float64)
     want = np.zeros((3, 4))
     for k in range(3):
         for p in range(4):
             for qi in range(4):
                 want[k, p] += cls[qi, k] / (1 + math.exp(-mask[qi, p]))
-    np.testing.assert_allclose(pred.fused_coarse.data, want, atol=1e-6)
+    np.testing.assert_allclose(coarse.data, want, atol=1e-6)
 
 
 def test_upsample_matches_bilinear_loop():
@@ -157,24 +157,24 @@ def test_decode_tape_records_independent_of_batch_size():
 def test_missing_query_rejected_when_not_owned():
     head = make_head(owns=False)
     with pytest.raises(ContractError):
-        head.decode(rand_taps(np.random.default_rng(6)))
+        head.decode_rows(rand_taps(np.random.default_rng(6)))
 
 
 def test_fallback_linear_head():
     head = make_head(use_query_head=False)
-    pred = head.decode(rand_taps(np.random.default_rng(7)))
-    assert pred.class_logits is None
-    assert pred.pixel_rows.shape == (64, 3)
-    assert np.all(pred.pixel_rows.data == 0.0)  # zero-init classifier
+    rows, class_logits, _, _ = head.decode_rows(rand_taps(np.random.default_rng(7)))
+    assert class_logits is None
+    assert rows.shape == (64, 3)
+    assert np.all(rows.data == 0.0)  # zero-init classifier
 
 
 def test_output_shape_independent_of_query_source():
     tapped = rand_taps(np.random.default_rng(8))
-    owned = make_head(owns=True).decode(tapped)
-    external = make_head(owns=False).decode(
+    owned_rows, _, _, owned_coarse = make_head(owns=True).decode_rows(tapped)
+    ext_rows, _, _, ext_coarse = make_head(owns=False).decode_rows(
         tapped, Tensor(np.random.default_rng(9).standard_normal((4, 4))))
-    assert owned.pixel_rows.shape == external.pixel_rows.shape
-    assert owned.fused_coarse.shape == external.fused_coarse.shape
+    assert owned_rows.shape == ext_rows.shape
+    assert owned_coarse.shape == ext_coarse.shape
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +184,9 @@ def test_output_shape_independent_of_query_source():
 def test_loss_uniform_logits_is_log_k():
     head = make_head(k=4)
     head.params["head.b_cls"].data[:] = 0.0  # force uniform predictions
-    pred = head.decode(rand_taps(np.random.default_rng(10)))
+    rows, _, _, _ = head.decode_rows(rand_taps(np.random.default_rng(10)))
     label = np.random.default_rng(11).integers(0, 4, (8, 8))
-    loss = H.segmentation_loss(pred, label)
+    loss = T.cross_entropy_logits(rows, label.reshape(-1))
     assert abs(loss.item() - math.log(4)) <= 1e-4
 
 
@@ -194,8 +194,7 @@ def test_loss_perfect_prediction_near_zero():
     rows = np.full((16, 3), -50.0, dtype=np.float32)
     label = np.random.default_rng(12).integers(0, 3, 16)
     rows[np.arange(16), label] = 50.0
-    pred = H.SegPrediction(None, None, Tensor(rows.T), Tensor(rows), (4, 4))
-    assert H.segmentation_loss(pred, label.reshape(4, 4)).item() < 1e-3
+    assert T.cross_entropy_logits(Tensor(rows), label).item() < 1e-3
 
 
 def test_loss_random_case_matches_scalar_loop():
@@ -203,8 +202,7 @@ def test_loss_random_case_matches_scalar_loop():
     rows = rng.uniform(-2, 2, (12, 3)).astype(np.float32)
     label = rng.integers(0, 3, 12)
     label[3] = 255
-    pred = H.SegPrediction(None, None, Tensor(rows.T), Tensor(rows), (3, 4))
-    got = H.segmentation_loss(pred, label.reshape(3, 4)).item()
+    got = T.cross_entropy_logits(Tensor(rows), label).item()
     total = count = 0
     for i, lab in enumerate(label):
         if lab == 255:
@@ -216,21 +214,20 @@ def test_loss_random_case_matches_scalar_loop():
 
 
 def test_loss_all_ignored_rejected():
-    pred = H.SegPrediction(None, None, Tensor(np.zeros((3, 4))),
-                           Tensor(np.zeros((4, 3))), (2, 2))
     with pytest.raises(ContractError):
-        H.segmentation_loss(pred, np.full((2, 2), 255))
+        T.cross_entropy_logits(Tensor(np.zeros((4, 3))), np.full(4, 255))
 
 
 def test_loss_descends_under_sgd():
     head = make_head(seed=20)
     rng = np.random.default_rng(21)
-    tapped = [t.detach() for t in rand_taps(rng)]
+    tapped = rand_taps(rng)
     label = rng.integers(0, 3, (8, 8))
     losses = []
     for _ in range(10):
         with Tape() as tape:
-            loss = H.segmentation_loss(head.decode(tapped), label)
+            rows, _, _, _ = head.decode_rows(tapped)
+            loss = T.cross_entropy_logits(rows, label.reshape(-1))
             tape.backward(loss)
         losses.append(loss.item())
         for t in head.params.values():

@@ -16,7 +16,8 @@ def toy_cfg(**kw):
 
 
 def rand_image(rng, size):
-    return rng.uniform(0, 1, (3, size, size)).astype(np.float32)
+    """A batch of one [1, 3, size, size] image."""
+    return rng.uniform(0, 1, (1, 3, size, size)).astype(np.float32)
 
 
 def test_patch_count_32():
@@ -36,14 +37,22 @@ def test_zero_everything_embeds_to_zero():
     bb = ViTBackbone(toy_cfg(), np.random.default_rng(0))
     for name in ("patch.W", "patch.b", "pos"):
         bb.params[name].data[:] = 0.0
-    out = bb.embed(np.zeros((3, 32, 32), dtype=np.float32))
+    out = bb.embed(np.zeros((1, 3, 32, 32), dtype=np.float32))
     assert np.all(out.data == 0.0)
 
 
 def test_wrong_image_size_rejected():
     bb = ViTBackbone(toy_cfg(), np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        bb.embed(np.zeros((3, 48, 48), dtype=np.float32))
+        bb.embed(np.zeros((1, 3, 48, 48), dtype=np.float32))
+
+
+def test_images_without_batch_axis_rejected():
+    # one convention: a single image is a batch of one, [1, 3, H, W]
+    bb = ViTBackbone(toy_cfg(), np.random.default_rng(0))
+    for shape in ((3, 32, 32), (2, 1, 3, 32, 32)):
+        with pytest.raises(ShapeError):
+            bb.patchify(np.zeros(shape, dtype=np.float32))
 
 
 def test_config_validation():
@@ -111,11 +120,11 @@ def test_recurrence_matches_straight_line_loop():
 def test_batch_forward_matches_per_image():
     bb = ViTBackbone(toy_cfg(), np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    imgs = np.stack([rand_image(rng, 32) for _ in range(3)])
+    imgs = np.concatenate([rand_image(rng, 32) for _ in range(3)])
     _, out_batch = bb.forward(imgs)
     n = bb.cfg.num_patches
     for b in range(3):
-        _, out_single = bb.forward(imgs[b])
+        _, out_single = bb.forward(imgs[b:b + 1])
         np.testing.assert_allclose(
             out_batch.data[b * n:(b + 1) * n], out_single.data, atol=2e-5
         )
@@ -148,7 +157,7 @@ def test_layer_forward_adds_twelve_tape_records():
     # layer norm, two MLP linears around GELU, residual add
     cfg = toy_cfg()
     bb = ViTBackbone(cfg, np.random.default_rng(0))
-    imgs = np.stack([rand_image(np.random.default_rng(s), 32) for s in (1, 2)])
+    imgs = np.concatenate([rand_image(np.random.default_rng(s), 32) for s in (1, 2)])
     with T.Tape() as tape:
         f = bb.embed(imgs)
         before = len(tape)
