@@ -54,8 +54,8 @@ class ReinConfig:
         if self.m < 2:
             raise ConfigError(f"token length m={self.m}: need m >= 2 so dropping "
                               "the first token leaves at least one")
-        if self.use_lora and not self.r < self.c:
-            raise ConfigError(f"rank r={self.r} must be < c={self.c}")
+        if self.use_lora and not 1 <= self.r < self.c:
+            raise ConfigError(f"rank r={self.r} must lie in [1, c={self.c})")
         if self.depth < 1 or self.c < 1 or self.c_prime < 1:
             raise ConfigError("depth, c and c_prime must be positive")
 
@@ -123,51 +123,48 @@ class ReinAdapter:
         )
 
 
-def init_parameters(cfg: ReinConfig, seed) -> ReinAdapter:
-    """Build an adapter with freshly drawn parameters.
-
-    Uniform entries are drawn from (-1/sqrt(fan_in), 1/sqrt(fan_in)) where
-    fan_in is the dimension the matrix contracts in its defining product;
-    W_f and every bias start at zero so the adapter begins as the identity.
-    """
-    rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
+def param_shapes(cfg: ReinConfig) -> dict:
+    """Adapter tensors in draw order: name -> (shape, fan_in). A tensor with
+    a fan-in is drawn uniform in (-1/sqrt(fan_in), 1/sqrt(fan_in)), where
+    fan_in is the dimension it contracts in its defining product; fan-in 0
+    means zeros."""
     c, cp, m, r = cfg.c, cfg.c_prime, cfg.m, cfg.r
+    mlps = {"W_T": ((c, c), c), "b_T": ((c,), 0),
+            "W_f": ((c, c), 0), "b_f": ((c,), 0)}
+    if cfg.use_link:
+        mlps.update({"W_Q": ((c, cp), c), "b_Q": ((cp,), 0)})
     p = {}
     for i in range(1, cfg.depth + 1):
         lp = f"adapter.layer{i:02d}."
         if cfg.use_lora:
-            p[lp + "A"] = uniform((m, r), r)
-            p[lp + "B"] = uniform((r, c), r)
+            p[lp + "A"] = ((m, r), r)
+            p[lp + "B"] = ((r, c), r)
         else:
-            p[lp + "T"] = uniform((m, c), c)
+            p[lp + "T"] = ((m, c), c)
         if not cfg.use_share:
-            p[lp + "W_T"] = uniform((c, c), c)
-            p[lp + "b_T"] = zeros((c,))
-            p[lp + "W_f"] = zeros((c, c))
-            p[lp + "b_f"] = zeros((c,))
-            if cfg.use_link:
-                p[lp + "W_Q"] = uniform((c, cp), c)
-                p[lp + "b_Q"] = zeros((cp,))
+            p.update({lp + k: v for k, v in mlps.items()})
     if cfg.use_share:
-        p["adapter.shared.W_T"] = uniform((c, c), c)
-        p["adapter.shared.b_T"] = zeros((c,))
-        p["adapter.shared.W_f"] = zeros((c, c))
-        p["adapter.shared.b_f"] = zeros((c,))
-        if cfg.use_link:
-            p["adapter.shared.W_Q"] = uniform((c, cp), c)
-            p["adapter.shared.b_Q"] = zeros((cp,))
+        p.update({"adapter.shared." + k: v for k, v in mlps.items()})
     if cfg.use_link:
-        p["adapter.final.W_Q_cat"] = uniform((3 * cp, cp), 3 * cp)
-        p["adapter.final.b_Q_cat"] = zeros((cp,))
-    return ReinAdapter(cfg, p)
+        p["adapter.final.W_Q_cat"] = ((3 * cp, cp), 3 * cp)
+        p["adapter.final.b_Q_cat"] = ((cp,), 0)
+    return p
+
+
+def init_parameters(cfg: ReinConfig, seed) -> ReinAdapter:
+    """Build an adapter with freshly drawn parameters (``param_shapes``);
+    W_f and every bias start at zero so the adapter begins as the identity.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, fan_in):
+        if not fan_in:
+            return np.zeros(shape)
+        bound = 1.0 / math.sqrt(fan_in)
+        return rng.uniform(-bound, bound, shape)
+
+    return ReinAdapter(cfg, {name: Tensor(draw(*spec), requires_grad=True)
+                             for name, spec in param_shapes(cfg).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Closed-form trainable-parameter accounting.
 
 Enumerates every trainable tensor for a fine-tune mode and adapter variant
-from shape algebra alone, independent of model construction; a test pins
-the two routes against each other. Counts cover the backbone scope
-(backbone weights in full mode, adapter weights in rein mode, nothing in
-freeze mode); the decode head is deliberately outside this budget.
+from the components' tensor tables (``vit.param_shapes``,
+``adapter.param_shapes``) and the mode's ``model.TRAINED`` set, without
+building a model. Counts cover the backbone scope (backbone weights in full
+mode, adapter weights in rein mode, nothing in freeze mode); the decode head
+is deliberately outside this budget. The paper budgets below and the golden
+CSVs pin the tables independently of the code that reads them.
 
 For the reference transformer geometry (c=1024, N=24, m=100, r=16) the
 variant ladder counts to 52,838,400 (core) / 59,332,864 (+link) /
@@ -18,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .adapter import ReinConfig, VARIANTS
+from .adapter import ReinConfig
+from .adapter import param_shapes as adapter_shapes
 from .errors import ConfigError
-from .model import MODES
+from .model import MODES, TRAINED
 from .vit import ViTConfig
+from .vit import param_shapes as vit_shapes
 
 
 @dataclass
@@ -45,9 +49,6 @@ class ParamReport:
     def total(self) -> int:
         return sum(r.count for r in self.rows)
 
-    def component_total(self, component: str) -> int:
-        return sum(r.count for r in self.rows if r.component == component)
-
     def to_csv(self) -> str:
         lines = ["name,shape,count,component"]
         for r in self.rows:
@@ -68,90 +69,22 @@ class ParamReport:
         return "\n".join(lines)
 
 
-def _backbone_rows(vit: ViTConfig):
-    c = vit.dim
-    hid = vit.mlp_hidden
-    pdim = 3 * vit.patch_size * vit.patch_size
-    rows = [
-        ParamRow("backbone.patch.W", (pdim, c), "backbone"),
-        ParamRow("backbone.patch.b", (c,), "backbone"),
-        ParamRow("backbone.pos", (vit.num_patches, c), "backbone"),
-    ]
-    for i in range(1, vit.depth + 1):
-        lp = f"backbone.layer{i:02d}."
-        rows += [ParamRow(lp + "ln1.g", (c,), "backbone"),
-                 ParamRow(lp + "ln1.b", (c,), "backbone")]
-        for nm in ("Wq", "Wk", "Wv", "Wo"):
-            rows.append(ParamRow(lp + "attn." + nm, (c, c), "backbone"))
-        for nm in ("bq", "bk", "bv", "bo"):
-            rows.append(ParamRow(lp + "attn." + nm, (c,), "backbone"))
-        rows += [ParamRow(lp + "ln2.g", (c,), "backbone"),
-                 ParamRow(lp + "ln2.b", (c,), "backbone"),
-                 ParamRow(lp + "mlp.W1", (c, hid), "backbone"),
-                 ParamRow(lp + "mlp.b1", (hid,), "backbone"),
-                 ParamRow(lp + "mlp.W2", (hid, c), "backbone"),
-                 ParamRow(lp + "mlp.b2", (c,), "backbone")]
-    return rows
-
-
-def _adapter_rows(rein: ReinConfig):
-    c, cp, m, r = rein.c, rein.c_prime, rein.m, rein.r
-    rows = []
-    for i in range(1, rein.depth + 1):
-        lp = f"adapter.layer{i:02d}."
-        if rein.use_lora:
-            rows += [ParamRow(lp + "A", (m, r), "adapter"),
-                     ParamRow(lp + "B", (r, c), "adapter")]
-        else:
-            rows.append(ParamRow(lp + "T", (m, c), "adapter"))
-        if not rein.use_share:
-            rows += [ParamRow(lp + "W_T", (c, c), "adapter"),
-                     ParamRow(lp + "b_T", (c,), "adapter"),
-                     ParamRow(lp + "W_f", (c, c), "adapter"),
-                     ParamRow(lp + "b_f", (c,), "adapter")]
-            if rein.use_link:
-                rows += [ParamRow(lp + "W_Q", (c, cp), "adapter"),
-                         ParamRow(lp + "b_Q", (cp,), "adapter")]
-    if rein.use_share:
-        rows += [ParamRow("adapter.shared.W_T", (c, c), "adapter"),
-                 ParamRow("adapter.shared.b_T", (c,), "adapter"),
-                 ParamRow("adapter.shared.W_f", (c, c), "adapter"),
-                 ParamRow("adapter.shared.b_f", (c,), "adapter")]
-        if rein.use_link:
-            rows += [ParamRow("adapter.shared.W_Q", (c, cp), "adapter"),
-                     ParamRow("adapter.shared.b_Q", (cp,), "adapter")]
-    if rein.use_link:
-        rows += [ParamRow("adapter.final.W_Q_cat", (3 * cp, cp), "adapter"),
-                 ParamRow("adapter.final.b_Q_cat", (cp,), "adapter")]
-    return rows
-
-
-def count_trainable(vit: ViTConfig, rein: ReinConfig | None, mode: str,
-                    variant: str | None = None) -> ParamReport:
-    """Trainable-parameter report for the backbone scope of one setup.
-
-    ``variant`` (one of the rein-* names) overrides the adapter's flag
-    combination; biases are counted since they train.
-    """
+def count_trainable(vit: ViTConfig, rein: ReinConfig | None, mode: str) -> ParamReport:
+    """Trainable-parameter report for the backbone scope of one setup: the
+    rows of every non-head component that ``TRAINED[mode]`` names, read from
+    the same tables that build the model. Biases are counted since they
+    train."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; pick from {MODES}")
-    if variant is not None:
-        if variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {variant!r}; pick from {sorted(VARIANTS)}")
-        if rein is None:
-            raise ConfigError("a rein config is required to apply a variant")
-        rein = ReinConfig(c=rein.c, depth=rein.depth, m=rein.m, r=rein.r,
-                          c_prime=rein.c_prime, **VARIANTS[variant])
-    if mode == "freeze":
-        rows = []
-        label = "-"
-    elif mode == "full":
-        rows = _backbone_rows(vit)
-        label = "-"
-    else:
-        if rein is None:
-            raise ConfigError("rein mode requires a rein config")
-        rows = _adapter_rows(rein)
-        label = rein.variant_name
+    trained = TRAINED[mode]
+    if "adapter" in trained and rein is None:
+        raise ConfigError("rein mode requires a rein config")
+    rows = []
+    if "backbone" in trained:
+        rows += [ParamRow("backbone." + name, shape, "backbone")
+                 for name, (shape, _) in vit_shapes(vit).items()]
+    if "adapter" in trained:
+        rows += [ParamRow(name, shape, "adapter")
+                 for name, (shape, _) in adapter_shapes(rein).items()]
+    label = rein.variant_name if "adapter" in trained else "-"
     return ParamReport(rows=rows, mode=mode, variant=label)

@@ -35,7 +35,6 @@ _TAG = {name: i for i, name in enumerate(COMPONENTS)}
 class Checkpoint:
     tensors: dict = field(default_factory=dict)  # name -> (np.float32 array, component)
     meta: dict = field(default_factory=dict)
-    version: int = VERSION
 
     # -- construction --------------------------------------------------------
 
@@ -75,7 +74,7 @@ class Checkpoint:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = [MAGIC, struct.pack("<II", self.version, len(self.tensors))]
+        out = [MAGIC, struct.pack("<II", VERSION, len(self.tensors))]
         for name, (arr, comp) in self.tensors.items():
             nb = name.encode("utf-8")
             arr = np.asarray(arr, dtype="<f4")
@@ -125,7 +124,7 @@ class Checkpoint:
         meta = json.loads(take(meta_len, "metadata").decode("utf-8")) if meta_len else {}
         if pos != len(data):
             raise ParseError(path, pos, f"{len(data) - pos} trailing bytes after metadata")
-        return cls(tensors=tensors, meta=meta, version=version)
+        return cls(tensors=tensors, meta=meta)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -152,4 +151,4 @@ def swap_adapter(base: Checkpoint, donor: Checkpoint) -> Checkpoint:
     for name, (arr, comp) in donor.tensors.items():
         src = base if comp == "backbone" else donor
         tensors[name] = (src.tensors[name][0].copy(), comp)
-    return Checkpoint(tensors=tensors, meta=dict(donor.meta), version=donor.version)
+    return Checkpoint(tensors=tensors, meta=dict(donor.meta))

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -113,30 +114,23 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
+    from .adapter import VARIANTS
     from .train import TrainConfig, desk_config, train
 
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = TrainConfig.from_dict(json.load(fh))
-        cfg.data_root = args.data
-        if args.mode:
-            cfg.mode = args.mode
     else:
-        cfg = desk_config(data_root=args.data, mode=args.mode or "rein",
-                          variant=args.variant or "rein-lora")
+        cfg = desk_config(variant=args.variant or "rein-lora")
+    # replace() runs TrainConfig's checks on the final field values
+    flags = {"data_root": args.data, "mode": args.mode,
+             "iterations": args.iterations, "seed": args.seed}
+    changes = {k: v for k, v in flags.items() if v is not None}
     if args.variant and cfg.rein is not None:
-        from .adapter import ReinConfig
-
-        cfg.rein = ReinConfig.from_variant(
-            args.variant, c=cfg.rein.c, depth=cfg.rein.depth, m=cfg.rein.m,
-            r=cfg.rein.r, c_prime=cfg.rein.c_prime)
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.seed is not None:
-        cfg.seed = args.seed
+        changes["rein"] = replace(cfg.rein, **VARIANTS[args.variant])
     if args.backbone_seed is not None:
-        cfg.backbone_seed = args.backbone_seed
-        cfg.pretrain = None
+        changes.update(backbone_seed=args.backbone_seed, pretrain=None)
+    cfg = replace(cfg, **changes)
 
     ckpt, metrics = train(cfg)
     out = Path(args.out)

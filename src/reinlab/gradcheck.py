@@ -35,9 +35,7 @@ def build_toy_model(seed: int, mode: str) -> SegModel:
                       c_prime=TOY["c_prime"])
     head = HeadConfig(num_classes=TOY["num_classes"], embed_dim=TOY["embed_dim"],
                       num_queries=TOY["m"])
-    if mode == "rein":
-        return SegModel(vit, head, mode, rein_cfg=rein, seed=seed)
-    return SegModel(vit, head, mode, seed=seed, query_dim=TOY["c_prime"])
+    return SegModel(vit, head, mode, rein_cfg=rein, seed=seed)
 
 
 def model_gradient_check(seed: int, mode: str, h=1e-3):

@@ -12,9 +12,6 @@ The query-to-pixel projection and the class projection start at zero, so a
 freshly built model makes identical predictions no matter where its queries
 come from; a randomly initialized per-query class bias keeps the queries
 distinguishable from the first gradient step.
-
-A per-pixel linear fallback head (``use_query_head=False``) skips the query
-pathway entirely.
 """
 
 from __future__ import annotations
@@ -34,13 +31,17 @@ class HeadConfig:
     num_classes: int
     embed_dim: int = 32
     num_queries: int = 16
-    use_query_head: bool = True
+    use_query_head: bool = True  # stored configs carry it; only True is built
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.embed_dim < 4:
             raise ConfigError(f"embed_dim must be >= 4, got {self.embed_dim}")
+        if self.num_queries < 1:
+            raise ConfigError(f"num_queries must be >= 1, got {self.num_queries}")
+        if not self.use_query_head:
+            raise ConfigError("use_query_head=False: the query head is the only decode head")
 
 
 def bilinear_matrix(src_hw, dst_hw):
@@ -94,26 +95,22 @@ class SegHead:
         p = {}
         p["head.W_pix"] = uniform((fused_in, d), fused_in)
         p["head.b_pix"] = zeros((d,))
-        if cfg.use_query_head:
-            # Everything the query set feeds starts at zero, so predictions
-            # at initialization cannot depend on where the queries come
-            # from; the per-query class bias alone seeds the output and its
-            # row diversity is what lets individual queries specialize
-            # (a shared zero bias is a saddle these dynamics never leave).
-            p["head.W_qd"] = zeros((cp, d))
-            p["head.b_qd"] = zeros((d,))
-            p["head.W_cls"] = zeros((cp, k))
-            bias_bound = 2.0 / math.sqrt(cfg.num_queries)
-            p["head.b_cls"] = Tensor(
-                rng.uniform(-bias_bound, bias_bound, (cfg.num_queries, k)),
-                requires_grad=True)
-            # drawn last so heads with and without own queries share the
-            # same common-weight values for a given rng
-            if self.owns_queries:
-                p["head.queries"] = uniform((cfg.num_queries, cp), cp)
-        else:
-            p["head.W_lin"] = zeros((d, k))
-            p["head.b_lin"] = zeros((k,))
+        # Everything the query set feeds starts at zero, so predictions at
+        # initialization cannot depend on where the queries come from; the
+        # per-query class bias alone seeds the output and its row diversity
+        # is what lets individual queries specialize (a shared zero bias is
+        # a saddle these dynamics never leave).
+        p["head.W_qd"] = zeros((cp, d))
+        p["head.b_qd"] = zeros((d,))
+        p["head.W_cls"] = zeros((cp, k))
+        bias_bound = 2.0 / math.sqrt(cfg.num_queries)
+        p["head.b_cls"] = Tensor(
+            rng.uniform(-bias_bound, bias_bound, (cfg.num_queries, k)),
+            requires_grad=True)
+        # drawn last so heads with and without own queries share the same
+        # common-weight values for a given rng
+        if self.owns_queries:
+            p["head.queries"] = uniform((cfg.num_queries, cp), cp)
         self.params = p
         self._upsample = Tensor(np.ascontiguousarray(
             bilinear_matrix(self.grid_hw, self.out_hw).T))  # [n, H*W]
@@ -135,20 +132,14 @@ class SegHead:
         """
         p = self.params
         pix = self._pixel_embed(tapped)  # [B*n, d]
-        if self.cfg.use_query_head:
-            if query is None:
-                if not self.owns_queries:
-                    raise ContractError(
-                        "query-based head expects an external query set")
-                query = p["head.queries"]
-            qd = T.linear(query, p["head.W_qd"], p["head.b_qd"])
-            mask_logits = T.matmul(qd, T.transpose(pix))          # [q, B*n]
-            class_logits = T.linear(query, p["head.W_cls"], p["head.b_cls"])
-            coarse = T.matmul(T.transpose(class_logits), T.sigmoid(mask_logits))
-        else:
-            class_logits = mask_logits = None
-            coarse = T.transpose(
-                T.linear(pix, p["head.W_lin"], p["head.b_lin"]))  # [K, B*n]
+        if query is None:
+            if not self.owns_queries:
+                raise ContractError("query-based head expects an external query set")
+            query = p["head.queries"]
+        qd = T.linear(query, p["head.W_qd"], p["head.b_qd"])
+        mask_logits = T.matmul(qd, T.transpose(pix))          # [q, B*n]
+        class_logits = T.linear(query, p["head.W_cls"], p["head.b_cls"])
+        coarse = T.matmul(T.transpose(class_logits), T.sigmoid(mask_logits))
         # [K, B*n] is [K*B, n] with one image per row, so a single GEMM
         # upsamples the batch; [K*B, H*W] is then class-major [K, B*H*W],
         # and its transpose gives image-major pixel rows without a copy.

@@ -1,6 +1,6 @@
 """Full segmentation model: backbone + optional adapter + decode head.
 
-Three fine-tune modes:
+Three fine-tune modes; ``TRAINED`` names the components each one trains:
 
   full   - every backbone tensor trains alongside the head, after a
            head-only start in every config (``train.PROBE_FRACTION``)
@@ -22,6 +22,9 @@ from .head import HeadConfig, SegHead
 from .vit import ViTBackbone, ViTConfig
 
 MODES = ("full", "freeze", "rein")
+# the components whose tensors train in each mode; nothing else gets gradients
+TRAINED = {"full": ("backbone", "head"), "freeze": ("head",),
+           "rein": ("adapter", "head")}
 
 # fixed per-component rng streams so e.g. rein and freeze models built from
 # the same seed share backbone and head draws
@@ -33,7 +36,9 @@ _STREAM_HEAD = 2
 class SegModel:
     def __init__(self, vit_cfg: ViTConfig, head_cfg: HeadConfig, mode: str,
                  rein_cfg: ReinConfig | None = None, seed: int = 0,
-                 backbone_seed: int | None = None, query_dim: int | None = None):
+                 backbone_seed: int | None = None):
+        """``rein_cfg`` builds the adapter in rein mode; in every mode its
+        ``c_prime`` sets the head's query width (16 without one)."""
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}; pick from {MODES}")
         if mode == "rein":
@@ -51,18 +56,13 @@ class SegModel:
         self.backbone_seed = int(backbone_seed if backbone_seed is not None else seed)
 
         self.backbone = ViTBackbone(
-            vit_cfg, np.random.default_rng((self.backbone_seed, _STREAM_BACKBONE)),
-            frozen=(mode != "full"))
+            vit_cfg, np.random.default_rng((self.backbone_seed, _STREAM_BACKBONE)))
         self.adapter = None
         linked = False
         if mode == "rein":
             self.adapter = init_parameters(rein_cfg, (self.seed, _STREAM_ADAPTER))
             linked = rein_cfg.use_link
-        if query_dim is None:
-            query_dim = rein_cfg.c_prime if rein_cfg is not None else 16
-        self.query_dim = int(query_dim)
-        if linked and self.query_dim != rein_cfg.c_prime:
-            raise ConfigError("query width must match the adapter's c_prime")
+        query_dim = rein_cfg.c_prime if rein_cfg is not None else 16
         if linked and head_cfg.num_queries != rein_cfg.m:
             raise ConfigError(
                 f"head num_queries ({head_cfg.num_queries}) must equal the "
@@ -70,9 +70,10 @@ class SegModel:
         grid = (vit_cfg.grid, vit_cfg.grid)
         out = (vit_cfg.image_size, vit_cfg.image_size)
         self.head = SegHead(
-            head_cfg, len(vit_cfg.tap_layers), vit_cfg.dim, self.query_dim,
+            head_cfg, len(vit_cfg.tap_layers), vit_cfg.dim, query_dim,
             grid, out, np.random.default_rng((self.seed, _STREAM_HEAD)),
             owns_queries=not linked)
+        self.set_trained(TRAINED[mode])
 
     # -- parameters ----------------------------------------------------------
 
@@ -85,15 +86,19 @@ class SegModel:
         out += [(n, t, "head") for n, t in self.head.named_tensors()]
         return out
 
+    def set_trained(self, components):
+        """Let exactly the tensors of ``components`` take gradients: the
+        mode's ``TRAINED`` set, or a subset of it for a training phase."""
+        for _, t, comp in self.named_tensors():
+            t.requires_grad = comp in components
+            if not t.requires_grad:
+                t.grad = None
+
     def trainable_tensors(self):
         return [(n, t) for n, t, _ in self.named_tensors() if t.requires_grad]
 
-    def n_trainable(self, components=None):
-        total = 0
-        for _, t, comp in self.named_tensors():
-            if t.requires_grad and (components is None or comp in components):
-                total += t.size
-        return total
+    def n_trainable(self):
+        return sum(t.size for _, t in self.trainable_tensors())
 
     def zero_grad(self):
         for _, t, _ in self.named_tensors():

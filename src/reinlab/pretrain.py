@@ -59,7 +59,7 @@ _STREAM_APPEARANCE = 1
 _STREAM_MASK = 2
 
 
-@dataclass(frozen=True)
+@dataclass
 class PretrainConfig:
     steps: int = 12000
     seed: int = 0
@@ -141,11 +141,13 @@ def pretrain_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
 
 
 @functools.lru_cache(maxsize=4)
-def _cached(vit_json: str, cfg: PretrainConfig) -> bytes:
-    return pretrain_backbone(ViTConfig(**json.loads(vit_json)), cfg).to_bytes()
+def _cached(vit_json: str, cfg_json: str) -> bytes:
+    return pretrain_backbone(ViTConfig(**json.loads(vit_json)),
+                             PretrainConfig(**json.loads(cfg_json))).to_bytes()
 
 
 def pretrained_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
     """``pretrain_backbone`` memoised per process: the recipe runs once and
     every model built from it afterwards loads the same bytes."""
-    return Checkpoint.from_bytes(_cached(json.dumps(asdict(vit_cfg), sort_keys=True), cfg))
+    key = [json.dumps(asdict(c), sort_keys=True) for c in (vit_cfg, cfg)]
+    return Checkpoint.from_bytes(_cached(*key))

@@ -20,7 +20,7 @@ from .checkpoint import Checkpoint
 from .data import load_split, read_manifest
 from .errors import ConfigError, NumericError
 from .head import HeadConfig, confusion_matrix, iou_from_confusion
-from .model import MODES, SegModel
+from .model import MODES, TRAINED, SegModel
 from .optim import AdamW
 from .pretrain import PretrainConfig, pretrained_backbone
 from .tensor import Tape
@@ -33,6 +33,7 @@ _STREAM_DATA = 4
 # backbone trained on them, Adam would turn them into a common feature offset
 # that saturates the query masks at the class-prior plateau.
 PROBE_FRACTION = 0.25
+PROBE_TRAINED = ("head",)
 
 
 @dataclass
@@ -108,10 +109,8 @@ def build_model(cfg: TrainConfig) -> SegModel:
     if cfg.pretrain is not None and cfg.backbone_seed is not None:
         raise ConfigError("backbone_seed draws a random backbone; a "
                           "pretrained one comes from its recipe's seed")
-    query_dim = cfg.rein.c_prime if cfg.rein is not None else 16
     model = SegModel(cfg.vit, cfg.head, cfg.mode, rein_cfg=cfg.rein,
-                     seed=cfg.seed, backbone_seed=cfg.backbone_seed,
-                     query_dim=query_dim)
+                     seed=cfg.seed, backbone_seed=cfg.backbone_seed)
     if cfg.pretrain is not None:
         pretrained_backbone(cfg.vit, cfg.pretrain).load_into(model, "backbone")
     return model
@@ -220,16 +219,17 @@ def evaluate(ckpt: Checkpoint, data_root, split="test", batch=8) -> EvalReport:
 
 
 def _make_optimizers(model: SegModel, cfg: TrainConfig):
-    """(backbone optimizer or None, adapter-and-head optimizer)."""
-    backbone = None
-    if cfg.mode == "full":
-        backbone = AdamW([(n, t) for n, t, c in model.named_tensors()
-                          if c == "backbone"],
-                         cfg.lr_backbone, weight_decay=cfg.weight_decay)
-    tuned = [(n, t) for n, t, c in model.named_tensors()
-             if c in ("adapter", "head") and t.requires_grad]
-    return backbone, AdamW(tuned, cfg.lr_head_and_rein,
-                           weight_decay=cfg.weight_decay)
+    """(backbone optimizer or None, adapter-and-head optimizer) over the
+    components that ``TRAINED`` names for the mode."""
+    trained = TRAINED[cfg.mode]
+
+    def adamw(components, lr):
+        return AdamW([(n, t) for n, t, c in model.named_tensors() if c in components],
+                     lr, weight_decay=cfg.weight_decay)
+
+    backbone = adamw(("backbone",), cfg.lr_backbone) if "backbone" in trained else None
+    tuned = tuple(c for c in trained if c != "backbone")
+    return backbone, adamw(tuned, cfg.lr_head_and_rein)
 
 
 def train(cfg: TrainConfig):
@@ -253,10 +253,10 @@ def train(cfg: TrainConfig):
     model = build_model(cfg)
     backbone_opt, tuned_opt = _make_optimizers(model, cfg)
     n_params = model.n_trainable()
-    # LP-FT probe stage: the backbone is held frozen, so backward skips it
+    # LP-FT probe stage: only the head trains, so backward skips the backbone
     probe_steps = round(PROBE_FRACTION * cfg.iterations) if backbone_opt else 0
     if probe_steps:
-        model.backbone.set_frozen(True)
+        model.set_trained(PROBE_TRAINED)
     rng = np.random.default_rng((cfg.seed, _STREAM_DATA))
     window = deque(maxlen=cfg.loss_window)
     metrics = MetricsLog()
@@ -271,7 +271,7 @@ def train(cfg: TrainConfig):
 
     for t in range(1, cfg.iterations + 1):
         if probe_steps and t == probe_steps + 1:
-            model.backbone.set_frozen(False)
+            model.set_trained(TRAINED[cfg.mode])
         idx = rng.integers(0, len(train_set), cfg.batch_size)
         flips = rng.random(cfg.batch_size) < 0.5
         imgs, labels = [], []

@@ -44,6 +44,9 @@ class ViTConfig:
     tap_layers: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "depth", "dim", "heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch {self.patch_size}"
@@ -78,57 +81,45 @@ def trunc_normal(rng, shape, std=0.02):
     return np.clip(rng.standard_normal(shape), -2.0, 2.0) * std
 
 
+def param_shapes(cfg: ViTConfig) -> dict:
+    """Backbone tensors in draw order: name -> (shape, init), where init is
+    "tn" (``trunc_normal``), "zero" or "one"."""
+    c, hid = cfg.dim, cfg.mlp_hidden
+    pdim = 3 * cfg.patch_size * cfg.patch_size
+    p = {"patch.W": ((pdim, c), "tn"), "patch.b": ((c,), "zero"),
+         "pos": ((cfg.num_patches, c), "tn")}
+    for i in range(1, cfg.depth + 1):
+        lp = f"layer{i:02d}."
+        p[lp + "ln1.g"] = ((c,), "one")
+        p[lp + "ln1.b"] = ((c,), "zero")
+        for nm in ("Wq", "Wk", "Wv", "Wo"):
+            p[lp + "attn." + nm] = ((c, c), "tn")
+        for nm in ("bq", "bk", "bv", "bo"):
+            p[lp + "attn." + nm] = ((c,), "zero")
+        p[lp + "ln2.g"] = ((c,), "one")
+        p[lp + "ln2.b"] = ((c,), "zero")
+        p[lp + "mlp.W1"] = ((c, hid), "tn")
+        p[lp + "mlp.b1"] = ((hid,), "zero")
+        p[lp + "mlp.W2"] = ((hid, c), "tn")
+        p[lp + "mlp.b2"] = ((c,), "zero")
+    return p
+
+
 class ViTBackbone:
-    """Patch embedding + ``depth`` pre-norm encoder layers."""
+    """Patch embedding + ``depth`` pre-norm encoder layers; every tensor
+    starts trainable, and ``SegModel.set_trained`` narrows the set."""
 
-    def __init__(self, cfg: ViTConfig, rng, frozen=False):
+    def __init__(self, cfg: ViTConfig, rng):
         self.cfg = cfg
-        self.frozen = bool(frozen)
-        c = cfg.dim
-        hid = cfg.mlp_hidden
-        pdim = 3 * cfg.patch_size * cfg.patch_size
-        rg = not self.frozen
-
-        def param(shape, init="tn"):
-            if init == "tn":
-                data = trunc_normal(rng, shape)
-            elif init == "zero":
-                data = np.zeros(shape)
-            elif init == "one":
-                data = np.ones(shape)
-            return Tensor(data, requires_grad=rg)
-
-        p = {}
-        p["patch.W"] = param((pdim, c))
-        p["patch.b"] = param((c,), "zero")
-        p["pos"] = param((cfg.num_patches, c))
-        for i in range(1, cfg.depth + 1):
-            lp = f"layer{i:02d}."
-            p[lp + "ln1.g"] = param((c,), "one")
-            p[lp + "ln1.b"] = param((c,), "zero")
-            for nm in ("Wq", "Wk", "Wv", "Wo"):
-                p[lp + "attn." + nm] = param((c, c))
-            for nm in ("bq", "bk", "bv", "bo"):
-                p[lp + "attn." + nm] = param((c,), "zero")
-            p[lp + "ln2.g"] = param((c,), "one")
-            p[lp + "ln2.b"] = param((c,), "zero")
-            p[lp + "mlp.W1"] = param((c, hid))
-            p[lp + "mlp.b1"] = param((hid,), "zero")
-            p[lp + "mlp.W2"] = param((hid, c))
-            p[lp + "mlp.b2"] = param((c,), "zero")
-        self.params = p
+        init = {"tn": lambda shape: trunc_normal(rng, shape),
+                "zero": np.zeros, "one": np.ones}
+        self.params = {name: Tensor(init[kind](shape), requires_grad=True)
+                       for name, (shape, kind) in param_shapes(cfg).items()}
 
     # -- parameter plumbing -------------------------------------------------
 
     def named_tensors(self):
         return list(self.params.items())
-
-    def set_frozen(self, frozen: bool):
-        self.frozen = bool(frozen)
-        for t in self.params.values():
-            t.requires_grad = not self.frozen
-            if self.frozen:
-                t.grad = None
 
     def state_bytes(self) -> bytes:
         """Concatenated raw bytes of every parameter, for integrity checks."""

@@ -108,13 +108,12 @@ def test_enumeration_construction_agreement():
                                        m=m, r=r, c_prime=cp)
         mode = ["rein", "full", "freeze"][trial % 3]
         head = HeadConfig(num_classes=4, embed_dim=8, num_queries=m)
-        model = SegModel(vit, head, mode,
-                         rein_cfg=rein if mode == "rein" else None,
-                         seed=trial, query_dim=cp)
-        counted = count_trainable(vit, rein, mode).total
-        live = model.n_trainable(components=("backbone", "adapter"))
+        model = SegModel(vit, head, mode, rein_cfg=rein, seed=trial)
+        counted = [(r.name, r.shape) for r in count_trainable(vit, rein, mode).rows]
+        live = [(n, t.shape) for n, t, c in model.named_tensors()
+                if t.requires_grad and c != "head"]
         if counted != live:
-            mismatches.append((trial, counted, live))
+            mismatches.append((trial, len(counted), len(live)))
     _report("enumeration-construction agreement", not mismatches,
             f"10 random configs, mismatches={mismatches}")
 
@@ -124,7 +123,7 @@ def test_identity_at_init():
     rein = ReinConfig(c=32, depth=2, m=6, r=2, c_prime=8)
     head = HeadConfig(num_classes=6, embed_dim=16, num_queries=6)
     rein_model = SegModel(vit, head, "rein", rein_cfg=rein, seed=11)
-    freeze_model = SegModel(vit, head, "freeze", seed=11, query_dim=8)
+    freeze_model = SegModel(vit, head, "freeze", rein_cfg=rein, seed=11)
     rng = np.random.default_rng(123)
     ok = True
     for _ in range(20):

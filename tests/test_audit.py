@@ -42,14 +42,6 @@ def test_freeze_counts_zero():
     assert count_trainable(LARGE_VIT, large_rein("rein-lora"), "freeze").total == 0
 
 
-def test_variant_override_argument():
-    rein = large_rein("rein-core")
-    report = count_trainable(LARGE_VIT, rein, "rein", variant="rein-lora")
-    assert report.total == 2_990_080
-    with pytest.raises(ConfigError):
-        count_trainable(LARGE_VIT, rein, "rein", variant="rein-nope")
-
-
 def test_variant_lattice_ordering():
     totals = {v: count_trainable(LARGE_VIT, large_rein(v), "rein").total
               for v in REFERENCE_BUDGETS}
@@ -89,11 +81,12 @@ def test_enumeration_matches_constructed_models():
                                        m=m, r=r, c_prime=cp)
         mode = ["rein", "full", "freeze"][trial % 3]
         head = HeadConfig(num_classes=4, embed_dim=8, num_queries=m)
-        model = SegModel(vit, head, mode, rein_cfg=rein if mode == "rein" else None,
-                         seed=trial, query_dim=cp)
+        model = SegModel(vit, head, mode, rein_cfg=rein, seed=trial)
         report = count_trainable(vit, rein, mode)
-        live = model.n_trainable(components=("backbone", "adapter"))
-        assert report.total == live, (trial, mode, rein.variant_name)
+        counted = [(r.name, r.shape, r.component) for r in report.rows]
+        live = [(n, t.shape, c) for n, t, c in model.named_tensors()
+                if t.requires_grad and c != "head"]
+        assert counted == live, (trial, mode, rein.variant_name)
 
 
 def test_report_rendering():
@@ -105,7 +98,24 @@ def test_report_rendering():
     csv = report.to_csv()
     assert csv.startswith("name,shape,count,component")
     assert csv.rstrip().endswith(f"total,,{report.total},")
-    assert report.component_total("adapter") == report.total
+    assert {r.component for r in report.rows} == {"adapter"}
+
+
+@pytest.mark.parametrize("field,build", [
+    ("image_size", lambda: ViTConfig(image_size=0, patch_size=8)),
+    ("patch_size", lambda: ViTConfig(patch_size=0)),
+    ("depth", lambda: ViTConfig(depth=0)),
+    ("dim", lambda: ViTConfig(dim=0, heads=4)),
+    ("heads", lambda: ViTConfig(heads=0)),
+    ("heads", lambda: ViTConfig(heads=-4)),
+    ("r=", lambda: ReinConfig(c=64, depth=4, r=0)),
+    ("r=", lambda: ReinConfig(c=64, depth=4, r=-1)),
+    ("num_queries", lambda: HeadConfig(num_classes=4, num_queries=0)),
+], ids=["image_size-0", "patch_size-0", "depth-0", "dim-0", "heads-0",
+        "heads-neg", "r-0", "r-neg", "num_queries-0"])
+def test_out_of_range_geometry_rejected(field, build):
+    with pytest.raises(ConfigError, match=field):
+        build()
 
 
 GOLDEN = {

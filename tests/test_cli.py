@@ -28,6 +28,20 @@ def test_audit_params_csv_output(tmp_path, capsys):
     assert csv_path.read_text().startswith("name,shape,count,component")
 
 
+@pytest.mark.parametrize("flags,field", [
+    (["--r", "-1"], "r="),
+    (["--heads", "0"], "heads"),
+    (["--patch-size", "0"], "patch_size"),
+    (["--layers", "0"], "depth"),
+], ids=["r", "heads", "patch-size", "layers"])
+def test_audit_params_rejects_out_of_range_geometry(flags, field, capsys):
+    argv = ["audit-params", "--c", "1024", "--layers", "24"] + flags
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "total trainable parameters" not in captured.out
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()
@@ -125,6 +139,19 @@ def test_backbone_seed_flag_trains_a_random_desk_backbone(tmp_path, monkeypatch,
                  "full", "--iterations", "1", "--backbone-seed", "3"]) == 0
     cfg = json.loads((out / "resolved_config.json").read_text())["config"]
     assert cfg["pretrain"] is None and cfg["backbone_seed"] == 3
+
+
+def test_train_validates_flags_before_writing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--k", "6", "--size", "64",
+                 "--train", "2", "--val", "1", "--test", "1", "--seed", "1"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 "--iterations", "-3", "--backbone-seed", "0"])
+    assert code != 0
+    assert "iterations" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

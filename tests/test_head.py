@@ -12,9 +12,8 @@ from reinlab.tensor import Tape, Tensor
 
 
 def make_head(k=3, d=8, queries=4, cp=4, taps=2, c=8, grid=(2, 2), out=(8, 8),
-              seed=0, owns=True, use_query_head=True):
-    cfg = H.HeadConfig(num_classes=k, embed_dim=d, num_queries=queries,
-                       use_query_head=use_query_head)
+              seed=0, owns=True):
+    cfg = H.HeadConfig(num_classes=k, embed_dim=d, num_queries=queries)
     return H.SegHead(cfg, taps, c, cp, grid, out, np.random.default_rng(seed),
                      owns_queries=owns)
 
@@ -160,12 +159,9 @@ def test_missing_query_rejected_when_not_owned():
         head.decode_rows(rand_taps(np.random.default_rng(6)))
 
 
-def test_fallback_linear_head():
-    head = make_head(use_query_head=False)
-    rows, class_logits, _, _ = head.decode_rows(rand_taps(np.random.default_rng(7)))
-    assert class_logits is None
-    assert rows.shape == (64, 3)
-    assert np.all(rows.data == 0.0)  # zero-init classifier
+def test_linear_fallback_head_rejected():
+    with pytest.raises(ConfigError, match="use_query_head"):
+        H.HeadConfig(num_classes=3, use_query_head=False)
 
 
 def test_output_shape_independent_of_query_source():

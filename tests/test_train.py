@@ -8,10 +8,11 @@ from reinlab import tensor as T
 from reinlab.checkpoint import Checkpoint, swap_adapter
 from reinlab.errors import (ConfigError, ContractError, NumericError,
                             ParseError, ShapeError)
+from reinlab.model import TRAINED
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
-from reinlab.train import (TrainConfig, build_model, evaluate, evaluate_model,
-                           train)
+from reinlab.train import (PROBE_TRAINED, TrainConfig, build_model, evaluate,
+                           evaluate_model, train)
 
 # ---------------------------------------------------------------------------
 # AdamW
@@ -62,20 +63,24 @@ def test_adamw_inf_gradient_names_tensor(bad):
 # gradient partition and frozen integrity
 
 
-def test_rein_mode_gradient_partition(tiny_benchmark):
-    cfg = tiny_train_config(tiny_benchmark)
-    model = build_model(cfg)
+@pytest.mark.parametrize("mode,phase", [("rein", None), ("freeze", None),
+                                        ("full", None), ("full", "probe")],
+                         ids=["rein", "freeze", "full", "full-probe"])
+def test_rein_mode_gradient_partition(tiny_benchmark, mode, phase):
+    model = build_model(tiny_train_config(tiny_benchmark, mode=mode))
+    trained = TRAINED[mode]
+    if phase == "probe":
+        trained = PROBE_TRAINED
+        model.set_trained(trained)
     rng = np.random.default_rng(0)
     imgs = rng.uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
     labels = rng.integers(0, 6, (2, 32, 32))
     with Tape() as tape:
-        loss = model.batch_loss(imgs, labels)
-        tape.backward(loss)
-    for name, t, comp in model.named_tensors():
-        if comp == "backbone":
-            assert not t.requires_grad and t.grad is None, name
-        else:
-            assert t.requires_grad, name
+        tape.backward(model.batch_loss(imgs, labels))
+    want = {n for n, _, c in model.named_tensors() if c in trained}
+    assert want
+    assert {n for n, t, _ in model.named_tensors() if t.requires_grad} == want
+    assert {n for n, t, _ in model.named_tensors() if t.grad is not None} == want
 
 
 def test_frozen_backbone_bytes_after_100_steps(tiny_benchmark):

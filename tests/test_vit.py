@@ -5,6 +5,8 @@ import pytest
 
 from reinlab import tensor as T
 from reinlab.errors import ConfigError, ContractError, ShapeError
+from reinlab.head import HeadConfig
+from reinlab.model import SegModel
 from reinlab.tensor import Tensor
 from reinlab.vit import ViTBackbone, ViTConfig, default_tap_layers
 
@@ -131,7 +133,8 @@ def test_batch_forward_matches_per_image():
 
 
 def test_frozen_backbone_has_no_trainable_tensors():
-    bb = ViTBackbone(toy_cfg(), np.random.default_rng(0), frozen=True)
+    head = HeadConfig(num_classes=3, embed_dim=8, num_queries=4)
+    bb = SegModel(toy_cfg(), head, "freeze", seed=0).backbone
     assert all(not t.requires_grad for t in bb.params.values())
     before = bb.state_bytes()
     img = rand_image(np.random.default_rng(1), 32)
