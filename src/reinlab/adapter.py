@@ -124,47 +124,41 @@ class ReinAdapter:
 
 
 def param_shapes(cfg: ReinConfig) -> dict:
-    """Adapter tensors in draw order: name -> (shape, fan_in). A tensor with
-    a fan-in is drawn uniform in (-1/sqrt(fan_in), 1/sqrt(fan_in)), where
-    fan_in is the dimension it contracts in its defining product; fan-in 0
-    means zeros."""
+    """Adapter tensors in draw order: name -> (shape, init), in the format
+    that ``tensor.parameters`` draws. A weight is drawn uniform in
+    (-1/sqrt(fan_in), 1/sqrt(fan_in)), where fan_in is the dimension it
+    contracts in its defining product; W_f and every bias start at zero so
+    the adapter begins as the identity."""
     c, cp, m, r = cfg.c, cfg.c_prime, cfg.m, cfg.r
-    mlps = {"W_T": ((c, c), c), "b_T": ((c,), 0),
-            "W_f": ((c, c), 0), "b_f": ((c,), 0)}
+
+    def bound(fan_in):
+        return 1.0 / math.sqrt(fan_in)
+
+    mlps = {"W_T": ((c, c), bound(c)), "b_T": ((c,), "zero"),
+            "W_f": ((c, c), "zero"), "b_f": ((c,), "zero")}
     if cfg.use_link:
-        mlps.update({"W_Q": ((c, cp), c), "b_Q": ((cp,), 0)})
+        mlps.update({"W_Q": ((c, cp), bound(c)), "b_Q": ((cp,), "zero")})
     p = {}
     for i in range(1, cfg.depth + 1):
         lp = f"adapter.layer{i:02d}."
         if cfg.use_lora:
-            p[lp + "A"] = ((m, r), r)
-            p[lp + "B"] = ((r, c), r)
+            p[lp + "A"] = ((m, r), bound(r))
+            p[lp + "B"] = ((r, c), bound(r))
         else:
-            p[lp + "T"] = ((m, c), c)
+            p[lp + "T"] = ((m, c), bound(c))
         if not cfg.use_share:
             p.update({lp + k: v for k, v in mlps.items()})
     if cfg.use_share:
         p.update({"adapter.shared." + k: v for k, v in mlps.items()})
     if cfg.use_link:
-        p["adapter.final.W_Q_cat"] = ((3 * cp, cp), 3 * cp)
-        p["adapter.final.b_Q_cat"] = ((cp,), 0)
+        p["adapter.final.W_Q_cat"] = ((3 * cp, cp), bound(3 * cp))
+        p["adapter.final.b_Q_cat"] = ((cp,), "zero")
     return p
 
 
 def init_parameters(cfg: ReinConfig, seed) -> ReinAdapter:
-    """Build an adapter with freshly drawn parameters (``param_shapes``);
-    W_f and every bias start at zero so the adapter begins as the identity.
-    """
-    rng = np.random.default_rng(seed)
-
-    def draw(shape, fan_in):
-        if not fan_in:
-            return np.zeros(shape)
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, shape)
-
-    return ReinAdapter(cfg, {name: Tensor(draw(*spec), requires_grad=True)
-                             for name, spec in param_shapes(cfg).items()})
+    """Build an adapter with its ``param_shapes`` table freshly drawn."""
+    return ReinAdapter(cfg, T.parameters(param_shapes(cfg), np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def count_trainable(vit: ViTConfig, rein: ReinConfig | None, mode: str) -> Param
         raise ConfigError("rein mode requires a rein config")
     rows = []
     if "backbone" in trained:
-        rows += [ParamRow("backbone." + name, shape, "backbone")
+        rows += [ParamRow(name, shape, "backbone")
                  for name, (shape, _) in vit_shapes(vit).items()]
     if "adapter" in trained:
         rows += [ParamRow(name, shape, "adapter")

@@ -17,6 +17,7 @@ re-tagging of byte ranges.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,6 +104,13 @@ class Checkpoint:
             pos += n
             return chunk
 
+        def text(n, what):
+            start = pos
+            try:
+                return take(n, what).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(path, start + e.start, f"{what} is not utf-8") from None
+
         if take(8, "magic") != MAGIC:
             raise ParseError(path, 0, "bad magic; not a checkpoint file")
         version, count = struct.unpack("<II", take(8, "header"))
@@ -111,17 +119,26 @@ class Checkpoint:
         tensors = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "name length"))
-            name = take(name_len, "name").decode("utf-8")
+            name = text(name_len, "name")
             tag, ndim = struct.unpack("<BB", take(2, "tensor header"))
             if tag >= len(COMPONENTS):
                 raise ParseError(path, pos - 2, f"unknown component tag {tag}")
             dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-            n_items = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            raw = take(4 * n_items, f"data of {name!r}")
+            # Python ints: a product of u32 dims cannot overflow
+            raw = take(4 * math.prod(dims), f"data of {name!r}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
             tensors[name] = (arr, COMPONENTS[tag])
         (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
-        meta = json.loads(take(meta_len, "metadata").decode("utf-8")) if meta_len else {}
+        meta_pos = pos
+        try:
+            meta = json.loads(text(meta_len, "metadata")) if meta_len else {}
+        except json.JSONDecodeError as e:
+            at = meta_pos + len(e.doc[:e.pos].encode("utf-8"))
+            raise ParseError(path, at, f"bad metadata JSON: {e.msg}") from None
+        except (ValueError, RecursionError) as e:  # e.g. an over-long integer
+            raise ParseError(path, meta_pos, f"bad metadata: {e}") from None
+        if not isinstance(meta, dict):
+            raise ParseError(path, meta_pos, "metadata is not a JSON object")
         if pos != len(data):
             raise ParseError(path, pos, f"{len(data) - pos} trailing bytes after metadata")
         return cls(tensors=tensors, meta=meta)

@@ -181,18 +181,15 @@ def write_pgm(path, label: np.ndarray):
     _write_pnm(path, "P5", label.astype(np.uint8), w, h)
 
 
-def _read_pnm(path, magic_want, channels):
-    data = Path(path).read_bytes()
+def _decode_pnm(data, path, magic_want, channels):
     pos = 0
 
     def token():
         nonlocal pos
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            return token()
+        while pos < len(data) and (data[pos:pos + 1].isspace() or data[pos] == 0x23):
+            # whitespace, or a '#' comment that runs to the end of its line
+            end = data.find(b"\n", pos) if data[pos] == 0x23 else pos
+            pos = len(data) if end < 0 else end + 1
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
@@ -209,6 +206,8 @@ def _read_pnm(path, magic_want, channels):
         raise ParseError(path, pos, "non-integer header field") from None
     if maxval != 255:
         raise ParseError(path, pos, f"unsupported maxval {maxval}")
+    if w < 1 or h < 1:
+        raise ParseError(path, pos, f"image size {w}x{h} is not positive")
     pos += 1  # single whitespace byte after maxval
     need = w * h * channels
     body = data[pos:pos + need]
@@ -219,14 +218,16 @@ def _read_pnm(path, magic_want, channels):
     return arr, w, h
 
 
-def read_ppm(path) -> np.ndarray:
-    arr, w, h = _read_pnm(path, "P6", 3)
+def decode_ppm(data: bytes, path="<bytes>") -> np.ndarray:
+    """8-bit binary PPM bytes -> [3, H, W] floats in [0, 1]."""
+    arr, w, h = _decode_pnm(data, path, "P6", 3)
     img = arr.reshape(h, w, 3).transpose(2, 0, 1)
     return (img.astype(np.float32) / 255.0)
 
 
-def read_pgm(path) -> np.ndarray:
-    arr, w, h = _read_pnm(path, "P5", 1)
+def decode_pgm(data: bytes, path="<bytes>") -> np.ndarray:
+    """8-bit binary PGM bytes -> [H, W] uint8 labels."""
+    arr, w, h = _decode_pnm(data, path, "P5", 1)
     return arr.reshape(h, w).copy()
 
 
@@ -249,7 +250,8 @@ def read_dataset(directory):
         pgm = ppm.with_suffix(".pgm")
         if not pgm.exists():
             raise ParseError(pgm, 0, "missing label file for image")
-        samples.append(SceneSample(image=read_ppm(ppm), label=read_pgm(pgm)))
+        samples.append(SceneSample(image=decode_ppm(ppm.read_bytes(), ppm),
+                                   label=decode_pgm(pgm.read_bytes(), pgm)))
     return samples
 
 

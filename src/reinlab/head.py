@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
 
 
@@ -44,31 +44,49 @@ class HeadConfig:
             raise ConfigError("use_query_head=False: the query head is the only decode head")
 
 
+def _interp_matrix(src, dst):
+    """[dst, src] linear-interpolation weights along one axis, rows summing
+    to 1; half-pixel-centre convention, edge samples clamp to the border."""
+    x = (np.arange(dst) + 0.5) * (src / dst) - 0.5
+    x0 = np.floor(x)
+    t = x - x0
+    taps = np.clip(np.stack([x0, x0 + 1]), 0, src - 1).astype(int)  # [2, dst]
+    m = np.zeros((dst, src))
+    np.add.at(m, (np.arange(dst), taps), np.stack([1 - t, t]))
+    return m
+
+
 def bilinear_matrix(src_hw, dst_hw):
     """Interpolation matrix P with P @ vec(src) = vec(dst), rows summing to 1.
 
-    Half-pixel-centre convention; edge samples clamp to the border texel.
+    Bilinear weights separate by axis, so P is the Kronecker product of the
+    row and column interpolation matrices.
     """
-    sh, sw = src_hw
-    dh, dw = dst_hw
+    return np.kron(_interp_matrix(src_hw[0], dst_hw[0]),
+                   _interp_matrix(src_hw[1], dst_hw[1]))
 
-    def axis_weights(src, dst):
-        x = (np.arange(dst) + 0.5) * (src / dst) - 0.5
-        x0f = np.floor(x)
-        t = x - x0f
-        x0 = np.clip(x0f, 0, src - 1).astype(int)
-        x1 = np.clip(x0f + 1, 0, src - 1).astype(int)
-        return x0, x1, t
 
-    y0, y1, ty = axis_weights(sh, dh)
-    x0, x1, tx = axis_weights(sw, dw)
-    p = np.zeros((dh * dw, sh * sw), dtype=np.float64)
-    for dy in range(dh):
-        for dx in range(dw):
-            row = dy * dw + dx
-            for sy, wy in ((y0[dy], 1 - ty[dy]), (y1[dy], ty[dy])):
-                for sx, wx in ((x0[dx], 1 - tx[dx]), (x1[dx], tx[dx])):
-                    p[row, sy * sw + sx] += wy * wx
+def param_shapes(cfg: HeadConfig, n_taps, feat_dim, query_dim, owns_queries=True):
+    """Head tensors in draw order: name -> (shape, init), in the format that
+    ``tensor.parameters`` draws. A weight's uniform bound is 1/sqrt(fan_in);
+    the class bias's is 2/sqrt(num_queries)."""
+    d, cp, k = cfg.embed_dim, query_dim, cfg.num_classes
+    fused_in = n_taps * feat_dim
+    p = {"head.W_pix": ((fused_in, d), 1.0 / math.sqrt(fused_in)),
+         "head.b_pix": ((d,), "zero"),
+         # Everything the query set feeds starts at zero, so predictions at
+         # initialization cannot depend on where the queries come from; the
+         # per-query class bias alone seeds the output and its row diversity
+         # is what lets individual queries specialize (a shared zero bias is
+         # a saddle these dynamics never leave).
+         "head.W_qd": ((cp, d), "zero"),
+         "head.b_qd": ((d,), "zero"),
+         "head.W_cls": ((cp, k), "zero"),
+         "head.b_cls": ((cfg.num_queries, k), 2.0 / math.sqrt(cfg.num_queries))}
+    # drawn last so heads with and without own queries share the same
+    # common-weight values for a given rng
+    if owns_queries:
+        p["head.queries"] = ((cfg.num_queries, cp), 1.0 / math.sqrt(cp))
     return p
 
 
@@ -82,36 +100,8 @@ class SegHead:
         self.out_hw = tuple(out_hw)
         self.owns_queries = bool(owns_queries)
         self.n_patches = grid_hw[0] * grid_hw[1]
-        d, cp, k = cfg.embed_dim, query_dim, cfg.num_classes
-        fused_in = n_taps * feat_dim
-
-        def uniform(shape, fan_in):
-            bound = 1.0 / math.sqrt(fan_in)
-            return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        p = {}
-        p["head.W_pix"] = uniform((fused_in, d), fused_in)
-        p["head.b_pix"] = zeros((d,))
-        # Everything the query set feeds starts at zero, so predictions at
-        # initialization cannot depend on where the queries come from; the
-        # per-query class bias alone seeds the output and its row diversity
-        # is what lets individual queries specialize (a shared zero bias is
-        # a saddle these dynamics never leave).
-        p["head.W_qd"] = zeros((cp, d))
-        p["head.b_qd"] = zeros((d,))
-        p["head.W_cls"] = zeros((cp, k))
-        bias_bound = 2.0 / math.sqrt(cfg.num_queries)
-        p["head.b_cls"] = Tensor(
-            rng.uniform(-bias_bound, bias_bound, (cfg.num_queries, k)),
-            requires_grad=True)
-        # drawn last so heads with and without own queries share the same
-        # common-weight values for a given rng
-        if self.owns_queries:
-            p["head.queries"] = uniform((cfg.num_queries, cp), cp)
-        self.params = p
+        self.params = T.parameters(
+            param_shapes(cfg, n_taps, feat_dim, query_dim, owns_queries), rng)
         self._upsample = Tensor(np.ascontiguousarray(
             bilinear_matrix(self.grid_hw, self.out_hw).T))  # [n, H*W]
 
@@ -150,31 +140,22 @@ class SegHead:
         return rows, class_logits, mask_logits, coarse
 
 
-def miou(pred_labels: np.ndarray, gt_labels: np.ndarray, num_classes: int,
-         ignore_index=255):
-    """Per-class intersection-over-union and its mean.
-
-    Classes absent from both prediction and ground truth are excluded from
-    the mean (their IoU is reported as NaN). Accumulation is pure integer
-    counting, so the result is order-independent.
-    """
-    pred = np.asarray(pred_labels).reshape(-1)
-    gt = np.asarray(gt_labels).reshape(-1)
+def confusion_matrix(pred, gt, num_classes, ignore_index=255):
+    """[K, K] integer matrix indexed [gt, pred] over the pixels whose label
+    is not ``ignore_index``; pure integer counting, so order-independent."""
+    pred = np.asarray(pred).reshape(-1)
+    gt = np.asarray(gt).reshape(-1)
     if pred.shape != gt.shape:
-        raise ConfigError(f"label shapes differ: {pred.shape} vs {gt.shape}")
+        raise ShapeError(f"label shapes differ: {pred.shape} vs {gt.shape}")
     valid = gt != ignore_index
-    cm = confusion_matrix(pred[valid], gt[valid], num_classes)
-    return iou_from_confusion(cm)
-
-
-def confusion_matrix(pred, gt, num_classes):
-    """[K, K] integer matrix indexed [gt, pred]."""
-    idx = gt.astype(np.int64) * num_classes + pred.astype(np.int64)
+    idx = gt[valid].astype(np.int64) * num_classes + pred[valid].astype(np.int64)
     return np.bincount(idx, minlength=num_classes * num_classes).reshape(
         num_classes, num_classes)
 
 
 def iou_from_confusion(cm):
+    """Per-class IoU and their mean; a class absent from both prediction and
+    ground truth gets NaN and is left out of the mean."""
     inter = np.diag(cm).astype(np.float64)
     union = cm.sum(axis=0) + cm.sum(axis=1) - np.diag(cm)
     present = union > 0

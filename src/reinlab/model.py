@@ -79,12 +79,10 @@ class SegModel:
 
     def named_tensors(self):
         """(name, tensor, component) triples in a fixed order."""
-        out = [("backbone." + n, t, "backbone")
-               for n, t in self.backbone.named_tensors()]
-        if self.adapter is not None:
-            out += [(n, t, "adapter") for n, t in self.adapter.named_tensors()]
-        out += [(n, t, "head") for n, t in self.head.named_tensors()]
-        return out
+        parts = (("backbone", self.backbone), ("adapter", self.adapter),
+                 ("head", self.head))
+        return [(n, t, comp) for comp, part in parts if part is not None
+                for n, t in part.named_tensors()]
 
     def set_trained(self, components):
         """Let exactly the tensors of ``components`` take gradients: the

@@ -35,7 +35,7 @@ from .data import DomainSpec, default_palette, generate_scene
 from .errors import ConfigError
 from .optim import AdamW
 from .tensor import Tape, Tensor
-from .vit import ViTBackbone, ViTConfig, trunc_normal
+from .vit import ViTBackbone, ViTConfig
 
 PRETRAIN_SPLIT = 100  # the benchmark's split indices are 0, 1, 2
 
@@ -94,11 +94,9 @@ def pretrain_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
     """Run the recipe; returns a checkpoint of the backbone tensors."""
     backbone = ViTBackbone(vit_cfg, np.random.default_rng((cfg.seed, _STREAM_INIT)))
     pdim = 3 * vit_cfg.patch_size * vit_cfg.patch_size
-    decoder = {
-        "decoder.W": Tensor(trunc_normal(np.random.default_rng((cfg.seed, _STREAM_INIT, 1)),
-                                         (vit_cfg.dim, pdim)), requires_grad=True),
-        "decoder.b": Tensor(np.zeros(pdim), requires_grad=True),
-    }
+    decoder = T.parameters(
+        {"decoder.W": ((vit_cfg.dim, pdim), "tn"), "decoder.b": ((pdim,), "zero")},
+        np.random.default_rng((cfg.seed, _STREAM_INIT, 1)))
     params = backbone.named_tensors() + list(decoder.items())
     opt = AdamW(params, RECIPE["lr"], weight_decay=RECIPE["weight_decay"])
     mask_rng = np.random.default_rng((cfg.seed, PRETRAIN_SPLIT, _STREAM_MASK))
@@ -135,7 +133,7 @@ def pretrain_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
             "vit": asdict(vit_cfg),
             "recon_loss_first": float(np.mean(losses[:window])) if losses else None,
             "recon_loss_last": float(np.mean(losses[-window:])) if losses else None}
-    tensors = {"backbone." + name: (np.asarray(t.data, dtype="<f4").copy(), "backbone")
+    tensors = {name: (np.asarray(t.data, dtype="<f4").copy(), "backbone")
                for name, t in backbone.named_tensors()}
     return Checkpoint(tensors=tensors, meta=meta)
 

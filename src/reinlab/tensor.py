@@ -105,6 +105,26 @@ class Tensor:
         )
 
 
+def trunc_normal(rng, shape, std=0.02):
+    """Normal(0, std) clipped to two standard deviations."""
+    return np.clip(rng.standard_normal(shape), -2.0, 2.0) * std
+
+
+def parameters(table: dict, rng) -> dict:
+    """Draw a tensor table ``name -> (shape, init)`` in table order into
+    trainable tensors. ``init`` is "tn" (``trunc_normal``), "zero", "one"
+    or a bound b for Uniform(-b, b); only "tn" and bounds consume ``rng``."""
+    fill = {"zero": np.zeros, "one": np.ones}
+
+    def draw(shape, init):
+        if init == "tn":
+            return trunc_normal(rng, shape)
+        return fill[init](shape) if init in fill else rng.uniform(-init, init, shape)
+
+    return {name: Tensor(draw(shape, init), requires_grad=True)
+            for name, (shape, init) in table.items()}
+
+
 class Tape:
     """Ordered record of executed operations.
 

@@ -60,6 +60,9 @@ class TrainConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.iterations < 0 or self.batch_size < 1:
             raise ConfigError("iterations must be >= 0 and batch_size >= 1")
+        for name in ("eval_interval", "loss_window"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode == "rein" and self.rein is None:
             raise ConfigError("rein mode requires a rein config")
 
@@ -191,12 +194,8 @@ def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     for start in range(0, len(samples), batch):
         chunk = samples[start:start + batch]
-        imgs = np.stack([s.image for s in chunk])
-        preds = model.predict_labels(imgs)
-        for s, pred in zip(chunk, preds):
-            gt = s.label.reshape(-1)
-            valid = gt != 255
-            cm += confusion_matrix(pred.reshape(-1)[valid], gt[valid], num_classes)
+        preds = model.predict_labels(np.stack([s.image for s in chunk]))
+        cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
     ious, mean = iou_from_confusion(cm)
     return EvalReport(per_class=list(ious), miou=mean, n_images=len(samples))
 

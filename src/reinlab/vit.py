@@ -51,6 +51,8 @@ class ViTConfig:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch {self.patch_size}"
             )
+        if self.mlp_hidden < 1:
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} leaves mlp_hidden < 1")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if not self.tap_layers:
@@ -76,20 +78,15 @@ class ViTConfig:
         return int(self.dim * self.mlp_ratio)
 
 
-def trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) clipped to two standard deviations."""
-    return np.clip(rng.standard_normal(shape), -2.0, 2.0) * std
-
-
 def param_shapes(cfg: ViTConfig) -> dict:
-    """Backbone tensors in draw order: name -> (shape, init), where init is
-    "tn" (``trunc_normal``), "zero" or "one"."""
+    """Backbone tensors in draw order: checkpoint name -> (shape, init), in
+    the format that ``tensor.parameters`` draws."""
     c, hid = cfg.dim, cfg.mlp_hidden
     pdim = 3 * cfg.patch_size * cfg.patch_size
-    p = {"patch.W": ((pdim, c), "tn"), "patch.b": ((c,), "zero"),
-         "pos": ((cfg.num_patches, c), "tn")}
+    p = {"backbone.patch.W": ((pdim, c), "tn"), "backbone.patch.b": ((c,), "zero"),
+         "backbone.pos": ((cfg.num_patches, c), "tn")}
     for i in range(1, cfg.depth + 1):
-        lp = f"layer{i:02d}."
+        lp = f"backbone.layer{i:02d}."
         p[lp + "ln1.g"] = ((c,), "one")
         p[lp + "ln1.b"] = ((c,), "zero")
         for nm in ("Wq", "Wk", "Wv", "Wo"):
@@ -111,19 +108,10 @@ class ViTBackbone:
 
     def __init__(self, cfg: ViTConfig, rng):
         self.cfg = cfg
-        init = {"tn": lambda shape: trunc_normal(rng, shape),
-                "zero": np.zeros, "one": np.ones}
-        self.params = {name: Tensor(init[kind](shape), requires_grad=True)
-                       for name, (shape, kind) in param_shapes(cfg).items()}
-
-    # -- parameter plumbing -------------------------------------------------
+        self.params = T.parameters(param_shapes(cfg), rng)
 
     def named_tensors(self):
         return list(self.params.items())
-
-    def state_bytes(self) -> bytes:
-        """Concatenated raw bytes of every parameter, for integrity checks."""
-        return b"".join(t.data.tobytes() for t in self.params.values())
 
     # -- forward ------------------------------------------------------------
 
@@ -142,18 +130,19 @@ class ViTBackbone:
 
     def embed(self, images: np.ndarray) -> Tensor:
         """Patch embedding plus learned positional embedding, as [B*n, c]."""
+        p = self.params
         rows = Tensor(self.patchify(images))
         n, c = self.cfg.num_patches, self.cfg.dim
         bsz = rows.shape[0] // n
-        x = T.linear(rows, self.params["patch.W"], self.params["patch.b"])
+        x = T.linear(rows, p["backbone.patch.W"], p["backbone.patch.b"])
         # a [B, n, c] view lets the [n, c] embedding broadcast over the batch
-        x = T.add(T.reshape(x, (bsz, n, c)), self.params["pos"])
+        x = T.add(T.reshape(x, (bsz, n, c)), p["backbone.pos"])
         return T.reshape(x, (bsz * n, c))
 
     def layer_forward(self, i: int, f: Tensor, batch_size: int = 1) -> Tensor:
         """Apply encoder layer ``i`` (1-based) to [B*n, c] features."""
         p = self.params
-        lp = f"layer{i:02d}."
+        lp = f"backbone.layer{i:02d}."
         x = T.layer_norm(f, p[lp + "ln1.g"], p[lp + "ln1.b"])
         q = T.linear(x, p[lp + "attn.Wq"], p[lp + "attn.bq"])
         k = T.linear(x, p[lp + "attn.Wk"], p[lp + "attn.bk"])

@@ -16,6 +16,12 @@ def tiny_benchmark(tmp_path_factory):
     return root
 
 
+def state_bytes(component) -> bytes:
+    """Concatenated raw bytes of every tensor of a model component, for
+    checking that weights did or did not change."""
+    return b"".join(t.data.tobytes() for _, t in component.named_tensors())
+
+
 def tiny_train_config(data_root, mode="rein", variant="rein-lora", **overrides):
     vit = ViTConfig(image_size=32, patch_size=8, depth=2, dim=32, heads=4)
     rein = ReinConfig.from_variant(variant, c=32, depth=2, m=6, r=2, c_prime=8)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import state_bytes
 from reinlab import adapter as A
 from reinlab import tensor as T
 from reinlab.adapter import ReinConfig
@@ -150,7 +151,7 @@ def test_frozen_backbone_integrity(small_benchmark):
     cfg = small_config(small_benchmark, iterations=100, eval_interval=100)
     from reinlab.train import build_model
 
-    reference = build_model(cfg).backbone.state_bytes()
+    reference = state_bytes(build_model(cfg).backbone)
     ckpt, _ = train(cfg)
     trained_bytes = b"".join(
         arr.tobytes() for name, (arr, comp) in ckpt.tensors.items()

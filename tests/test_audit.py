@@ -111,8 +111,12 @@ def test_report_rendering():
     ("r=", lambda: ReinConfig(c=64, depth=4, r=0)),
     ("r=", lambda: ReinConfig(c=64, depth=4, r=-1)),
     ("num_queries", lambda: HeadConfig(num_classes=4, num_queries=0)),
+    ("mlp_ratio", lambda: ViTConfig(mlp_ratio=0)),
+    ("mlp_ratio", lambda: ViTConfig(mlp_ratio=0.01)),
+    ("mlp_ratio", lambda: ViTConfig(mlp_ratio=-1)),
 ], ids=["image_size-0", "patch_size-0", "depth-0", "dim-0", "heads-0",
-        "heads-neg", "r-0", "r-neg", "num_queries-0"])
+        "heads-neg", "r-0", "r-neg", "num_queries-0", "mlp_ratio-0",
+        "mlp_ratio-tiny", "mlp_ratio-neg"])
 def test_out_of_range_geometry_rejected(field, build):
     with pytest.raises(ConfigError, match=field):
         build()

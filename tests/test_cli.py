@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import reinlab
+from conftest import tiny_train_config
 from reinlab.cli import main
 
 
@@ -151,6 +152,18 @@ def test_train_validates_flags_before_writing(tmp_path, capsys):
                  "--iterations", "-3", "--backbone-seed", "0"])
     assert code != 0
     assert "iterations" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_validates_config_file_before_writing(tiny_benchmark, tmp_path, capsys):
+    cfg = tiny_train_config(tiny_benchmark).to_dict()
+    cfg["eval_interval"] = 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--data", str(tiny_benchmark),
+                 "--out", str(out)]) != 0
+    assert "eval_interval" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

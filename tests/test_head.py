@@ -1,4 +1,4 @@
-"""Decode head: fusion formula, upsampling, loss, mIoU."""
+"""Decode head: fusion formula, upsampling, loss, confusion matrix and IoU."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from reinlab import head as H
 from reinlab import tensor as T
-from reinlab.errors import ConfigError, ContractError
+from reinlab.errors import ConfigError, ContractError, ShapeError
 from reinlab.tensor import Tape, Tensor
 
 
@@ -96,6 +96,46 @@ def test_upsample_matches_bilinear_loop():
             want[dy, dx] = acc
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(p.sum(axis=1), np.ones(35), atol=1e-12)
+
+
+def _loop_bilinear_matrix(src_hw, dst_hw):
+    """Reference: the per-pixel loop that accumulates the four bilinear taps
+    of each output pixel into its matrix row."""
+    (sh, sw), (dh, dw) = src_hw, dst_hw
+
+    def axis_weights(src, dst):
+        x = (np.arange(dst) + 0.5) * (src / dst) - 0.5
+        x0f = np.floor(x)
+        return (np.clip(x0f, 0, src - 1).astype(int),
+                np.clip(x0f + 1, 0, src - 1).astype(int), x - x0f)
+
+    y0, y1, ty = axis_weights(sh, dh)
+    x0, x1, tx = axis_weights(sw, dw)
+    p = np.zeros((dh * dw, sh * sw))
+    for dy in range(dh):
+        for dx in range(dw):
+            for sy, wy in ((y0[dy], 1 - ty[dy]), (y1[dy], ty[dy])):
+                for sx, wx in ((x0[dx], 1 - tx[dx]), (x1[dx], tx[dx])):
+                    p[dy * dw + dx, sy * sw + sx] += wy * wx
+    return p
+
+
+@pytest.mark.parametrize("src,dst", [((8, 8), (64, 64)), ((2, 2), (8, 8)),
+                                     ((4, 4), (32, 32)), ((8, 8), (32, 32)),
+                                     ((2, 2), (16, 16)), ((2, 3), (5, 7))])
+def test_kronecker_upsample_equals_loop_exactly(src, dst):
+    # the grid -> image shapes of the desk and test configs
+    np.testing.assert_array_equal(H.bilinear_matrix(src, dst),
+                                  _loop_bilinear_matrix(src, dst))
+
+
+def test_kronecker_upsample_equals_loop_after_float32_cast():
+    # at this shape the clamped border sums (a+b)(c+d) and ac+ad+bc+bd part
+    # in the last float64 bit; SegHead stores the matrix as float32
+    got = H.bilinear_matrix((3, 5), (7, 11))
+    want = _loop_bilinear_matrix((3, 5), (7, 11))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert got.astype(np.float32).tobytes() == want.astype(np.float32).tobytes()
 
 
 def _randomized_head(seed=30, **shape):
@@ -234,19 +274,23 @@ def test_loss_descends_under_sgd():
 
 
 # ---------------------------------------------------------------------------
-# mIoU
+# confusion matrix and IoU
+
+
+def _iou(pred, gt, k):
+    return H.iou_from_confusion(H.confusion_matrix(pred, gt, k))
 
 
 def test_miou_perfect():
     gt = np.random.default_rng(14).integers(0, 3, (6, 6))
-    _, mean = H.miou(gt, gt, 3)
+    _, mean = _iou(gt, gt, 3)
     assert mean == 1.0
 
 
 def test_miou_disjoint_single_class():
     gt = np.zeros((4, 4), dtype=int)
     pred = np.ones((4, 4), dtype=int)
-    ious, _ = H.miou(pred, gt, 3)
+    ious, _ = _iou(pred, gt, 3)
     assert ious[0] == 0.0 and ious[1] == 0.0
     assert np.isnan(ious[2])
 
@@ -254,7 +298,8 @@ def test_miou_disjoint_single_class():
 def test_miou_hand_counts():
     gt = np.array([[0, 0], [1, 1]])
     pred = np.array([[0, 1], [1, 1]])
-    ious, mean = H.miou(pred, gt, 2)
+    np.testing.assert_array_equal(H.confusion_matrix(pred, gt, 2), [[1, 1], [0, 2]])
+    ious, mean = _iou(pred, gt, 2)
     np.testing.assert_allclose(ious, [0.5, 2 / 3])
     assert abs(mean - 7 / 12) <= 1e-12
 
@@ -264,7 +309,8 @@ def test_miou_ignores_255():
     # mismatched predictions there cannot hurt
     gt = np.array([[0, 255], [1, 255]])
     pred = np.array([[0, 1], [1, 0]])
-    ious, mean = H.miou(pred, gt, 2)
+    assert H.confusion_matrix(pred, gt, 2).sum() == 2
+    ious, mean = _iou(pred, gt, 2)
     np.testing.assert_allclose(ious, [1.0, 1.0])
     assert mean == 1.0
 
@@ -273,7 +319,12 @@ def test_miou_permutation_symmetric():
     rng = np.random.default_rng(15)
     gt = rng.integers(0, 4, (10, 10))
     pred = rng.integers(0, 4, (10, 10))
-    _, mean = H.miou(pred, gt, 4)
+    _, mean = _iou(pred, gt, 4)
     perm = np.array([2, 3, 1, 0])
-    _, mean_p = H.miou(perm[pred], perm[gt], 4)
+    _, mean_p = _iou(perm[pred], perm[gt], 4)
     assert abs(mean - mean_p) <= 1e-12
+
+
+def test_confusion_label_shapes_must_match():
+    with pytest.raises(ShapeError):
+        H.confusion_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 2)

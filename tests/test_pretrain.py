@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import tiny_train_config
+from conftest import state_bytes, tiny_train_config
 from reinlab import train as train_mod
 from reinlab.data import SPLITS, generate_scene, default_source_spec
 from reinlab.errors import ConfigError
@@ -57,7 +57,7 @@ def test_desk_modes_share_the_pretrained_backbone():
     for seed in (1, 2, 3, 4, 5):
         for mode in ("full", "freeze", "rein"):
             model = build_model(desk_config(mode=mode, seed=seed))
-            assert model.backbone.state_bytes() == reference, (mode, seed)
+            assert state_bytes(model.backbone) == reference, (mode, seed)
 
 
 @pytest.mark.slow  # runs the ~3 min desk recipe (memoised per process)
@@ -126,8 +126,8 @@ def test_full_mode_probe_stage_trains_the_head_alone(tiny_benchmark, monkeypatch
         return {comp: b"".join(a.tobytes() for a, c in ckpt.tensors.values()
                                if c == comp) for comp in ("backbone", "head")}
 
-    start = build_model(tiny_train_config(tiny_benchmark, mode="full")
-                        ).backbone.state_bytes()
+    start = state_bytes(build_model(tiny_train_config(tiny_benchmark, mode="full")
+                                    ).backbone)
     assert run("full")["backbone"] != start
     # a probe stage spanning the whole run is exactly a freeze-mode run
     monkeypatch.setattr(train_mod, "PROBE_FRACTION", 1.0)

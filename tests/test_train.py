@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_train_config
+from conftest import state_bytes, tiny_train_config
 from reinlab import tensor as T
 from reinlab.checkpoint import Checkpoint, swap_adapter
 from reinlab.errors import (ConfigError, ContractError, NumericError,
@@ -86,7 +86,7 @@ def test_rein_mode_gradient_partition(tiny_benchmark, mode, phase):
 def test_frozen_backbone_bytes_after_100_steps(tiny_benchmark):
     cfg = tiny_train_config(tiny_benchmark, iterations=100, eval_interval=100)
     model = build_model(cfg)
-    before = model.backbone.state_bytes()
+    before = state_bytes(model.backbone)
     ckpt, _ = train(cfg)
     # rebuild the trained model and compare raw backbone bytes
     after = np.concatenate([
@@ -95,7 +95,7 @@ def test_frozen_backbone_bytes_after_100_steps(tiny_benchmark):
     ref = np.concatenate([
         t.data.reshape(-1) for _, t in model.backbone.named_tensors()
     ]).tobytes()
-    assert before == model.backbone.state_bytes()
+    assert before == state_bytes(model.backbone)
     assert after == ref
 
 
@@ -247,6 +247,13 @@ def test_class_count_mismatch_rejected(tiny_benchmark, tmp_path):
         evaluate(ckpt, other, "test")
     with pytest.raises(ConfigError):
         train(tiny_train_config(other))
+
+
+@pytest.mark.parametrize("field,value", [("eval_interval", 0), ("eval_interval", -5),
+                                         ("loss_window", 0), ("loss_window", -1)])
+def test_nonpositive_eval_interval_and_loss_window_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_train_config("", **{field: value})
 
 
 def test_metrics_param_count_constant(tiny_benchmark):

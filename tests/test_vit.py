@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import state_bytes
 from reinlab import tensor as T
 from reinlab.errors import ConfigError, ContractError, ShapeError
 from reinlab.head import HeadConfig
@@ -37,7 +38,7 @@ def test_patch_count_64():
 
 def test_zero_everything_embeds_to_zero():
     bb = ViTBackbone(toy_cfg(), np.random.default_rng(0))
-    for name in ("patch.W", "patch.b", "pos"):
+    for name in ("backbone.patch.W", "backbone.patch.b", "backbone.pos"):
         bb.params[name].data[:] = 0.0
     out = bb.embed(np.zeros((1, 3, 32, 32), dtype=np.float32))
     assert np.all(out.data == 0.0)
@@ -136,19 +137,19 @@ def test_frozen_backbone_has_no_trainable_tensors():
     head = HeadConfig(num_classes=3, embed_dim=8, num_queries=4)
     bb = SegModel(toy_cfg(), head, "freeze", seed=0).backbone
     assert all(not t.requires_grad for t in bb.params.values())
-    before = bb.state_bytes()
+    before = state_bytes(bb)
     img = rand_image(np.random.default_rng(1), 32)
     with T.Tape() as tape:
         _, out = bb.forward(img)
         tape.backward(T.sum_all(out))
     assert all(t.grad is None for t in bb.params.values())
-    assert bb.state_bytes() == before
+    assert state_bytes(bb) == before
 
 
 def test_same_seed_same_bytes():
     a = ViTBackbone(toy_cfg(), np.random.default_rng(42))
     b = ViTBackbone(toy_cfg(), np.random.default_rng(42))
-    assert a.state_bytes() == b.state_bytes()
+    assert state_bytes(a) == state_bytes(b)
     img = rand_image(np.random.default_rng(0), 32)
     _, out_a = a.forward(img)
     _, out_b = b.forward(img)
