@@ -9,9 +9,11 @@ Layout (little-endian):
 
 The trailer carries run metadata (config, iteration, seed, config hash);
 readers that stop after ``tensor_count`` tensors can ignore it. Nothing may
-follow the trailer. Component tags {backbone: 0, adapter: 1, head: 2}
-partition the tensor set, which is what makes adapter/head swapping a pure
-re-tagging of byte ranges.
+follow the trailer. Tensor names are unique and the metadata is stored in
+one canonical JSON form (sorted keys, no spaces, ASCII), so a file that
+loads re-saves as the same bytes. Component tags {backbone: 0, adapter: 1,
+head: 2} partition the tensor set, which is what makes adapter/head
+swapping a pure re-tagging of byte ranges.
 """
 
 from __future__ import annotations
@@ -84,7 +86,10 @@ class Checkpoint:
             out.append(struct.pack("<BB", _TAG[comp], arr.ndim))
             out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
             out.append(arr.tobytes())
-        meta = json.dumps(self.meta, sort_keys=True, separators=(",", ":")).encode()
+        meta = _meta_json(self.meta)
+        if _meta_json(json.loads(meta)) != meta:  # e.g. non-string keys
+            raise ContractError("metadata does not survive a JSON round trip; "
+                                "the file would not load")
         out.append(struct.pack("<I", len(meta)))
         out.append(meta)
         return b"".join(out)
@@ -119,7 +124,10 @@ class Checkpoint:
         tensors = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "name length"))
+            name_pos = pos
             name = text(name_len, "name")
+            if name in tensors:
+                raise ParseError(path, name_pos, f"duplicate tensor name {name!r}")
             tag, ndim = struct.unpack("<BB", take(2, "tensor header"))
             if tag >= len(COMPONENTS):
                 raise ParseError(path, pos - 2, f"unknown component tag {tag}")
@@ -131,7 +139,7 @@ class Checkpoint:
         (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
         meta_pos = pos
         try:
-            meta = json.loads(text(meta_len, "metadata")) if meta_len else {}
+            meta = json.loads(text(meta_len, "metadata"))
         except json.JSONDecodeError as e:
             at = meta_pos + len(e.doc[:e.pos].encode("utf-8"))
             raise ParseError(path, at, f"bad metadata JSON: {e.msg}") from None
@@ -139,6 +147,12 @@ class Checkpoint:
             raise ParseError(path, meta_pos, f"bad metadata: {e}") from None
         if not isinstance(meta, dict):
             raise ParseError(path, meta_pos, "metadata is not a JSON object")
+        raw, canonical = data[meta_pos:pos], _meta_json(meta)
+        if raw != canonical:
+            # a space, unsorted or repeated keys: it would not re-save as itself
+            at = next((i for i, (a, b) in enumerate(zip(raw, canonical)) if a != b),
+                      min(len(raw), len(canonical)))
+            raise ParseError(path, meta_pos + at, "metadata is not in canonical form")
         if pos != len(data):
             raise ParseError(path, pos, f"{len(data) - pos} trailing bytes after metadata")
         return cls(tensors=tensors, meta=meta)
@@ -146,6 +160,11 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         return cls.from_bytes(Path(path).read_bytes(), path=str(path))
+
+
+def _meta_json(meta: dict) -> bytes:
+    """The one byte form of a metadata dict: sorted keys, no spaces, ASCII."""
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
 
 
 def swap_adapter(base: Checkpoint, donor: Checkpoint) -> Checkpoint:

@@ -94,24 +94,30 @@ def _seed_tuple(seed):
     return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
 
 
-def _rasterize(geo, spec, k, h, w):
-    label = np.full((h, w), spec.background_class, dtype=np.uint8)
-    yy, xx = np.mgrid[0:h, 0:w]
-    count = int(geo.integers(3, 9))
+_MAX_SHAPES = 8
+_ATTEMPTS = 32  # geometry draws per scene before giving up on two classes
+_RECT, _CIRCLE = 0, 1  # shape kinds; kind 2 is a triangle
+
+
+def _draw_shapes(geo, spec, k, h, w):
+    """One geometry attempt: 3 to ``_MAX_SHAPES`` shapes in paint order, each
+    ``(class, kind, params)`` with the floats its mask is computed from."""
+    count = int(geo.integers(3, _MAX_SHAPES + 1))
     classes = [c for c in range(k) if c != spec.background_class]
     order = geo.permutation(len(classes))
     lo = spec.size_min * min(h, w)
     hi = spec.size_max * min(h, w)
+    shapes = []
     for j in range(count):
         cls = classes[order[j % len(classes)]]
         kind = int(geo.integers(0, 3))
         cy, cx = geo.uniform(0, h), geo.uniform(0, w)
         size = geo.uniform(lo, hi)
-        if kind == 0:  # rectangle
+        if kind == _RECT:  # centre and half-extents
             hy, hx = size * geo.uniform(0.4, 0.8), size * geo.uniform(0.4, 0.8)
-            mask = (np.abs(yy - cy) <= hy) & (np.abs(xx - cx) <= hx)
-        elif kind == 1:  # circle
-            mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= (size / 2) ** 2
+            shapes.append((cls, kind, (cy, cx, hy, hx)))
+        elif kind == _CIRCLE:  # centre and squared radius
+            shapes.append((cls, kind, (cy, cx, (size / 2) ** 2)))
         else:  # triangle from three vertices around the centre
             ang = geo.uniform(0, 2 * math.pi)
             verts = []
@@ -119,44 +125,115 @@ def _rasterize(geo, spec, k, h, w):
                 a = ang + v * 2 * math.pi / 3 + geo.uniform(-0.4, 0.4)
                 rad = size / 2 * geo.uniform(0.7, 1.0)
                 verts.append((cy + rad * math.sin(a), cx + rad * math.cos(a)))
-            mask = np.ones((h, w), dtype=bool)
+            edges = []  # per edge: start, direction, and the third vertex's side
             for v in range(3):
                 y0, x0 = verts[v]
                 y1, x1 = verts[(v + 1) % 3]
-                cross = (x1 - x0) * (yy - y0) - (y1 - y0) * (xx - x0)
                 side = (x1 - x0) * (verts[(v + 2) % 3][0] - y0) - \
                     (y1 - y0) * (verts[(v + 2) % 3][1] - x0)
-                mask &= (cross * side) >= 0
-        label[mask] = cls
-    return label
+                edges += [y0, x0, y1 - y0, x1 - x0, side]
+            shapes.append((cls, kind, tuple(edges)))
+    return shapes
+
+
+def _rasterize(scenes, h, w):
+    """Label maps [n, h, w] of ``(background class, shapes)`` pairs: a pixel
+    takes the class of the last shape covering it. Each kind's masks for
+    the whole batch come from one set of array operations."""
+    n = len(scenes)
+    # a column and a row that broadcast to [h, w] in every mask expression
+    yy, xx = np.arange(h)[:, None], np.arange(w)[None, :]
+    lut = np.zeros((n, _MAX_SHAPES + 1), dtype=np.uint8)  # slot 0: background
+    by_kind = ([], [], [])
+    for i, (background, shapes) in enumerate(scenes):
+        lut[i, 0] = background
+        for j, (cls, kind, params) in enumerate(shapes):
+            lut[i, j + 1] = cls
+            by_kind[kind].append((i, j, *params))
+    cover = np.zeros((n, _MAX_SHAPES, h, w), dtype=bool)
+    for kind, rows in enumerate(by_kind):
+        if not rows:
+            continue
+        cols = np.array(rows).T
+        scene, slot = cols[:2].astype(np.intp)
+        p = cols[2:, :, None, None]  # one [s, 1, 1] column per parameter
+        if kind == _RECT:
+            mask = (np.abs(yy - p[0]) <= p[2]) & (np.abs(xx - p[1]) <= p[3])
+        elif kind == _CIRCLE:
+            mask = (yy - p[0]) ** 2 + (xx - p[1]) ** 2 <= p[2]
+        else:
+            mask = np.ones((len(rows), h, w), dtype=bool)
+            for y0, x0, dy, dx, side in (p[5 * e:5 * e + 5] for e in range(3)):
+                cross = dx * (yy - y0) - dy * (xx - x0)
+                cross *= side
+                mask &= cross >= 0
+        cover[scene, slot] = mask
+    depth = np.arange(1, _MAX_SHAPES + 1, dtype=np.uint8)[:, None, None]
+    level = (cover * depth).max(axis=1)  # 1 + slot of the top shape, 0 for none
+    return np.take_along_axis(lut, level.reshape(n, -1), axis=1).reshape(n, h, w)
 
 
 def generate_scene(seed, spec: DomainSpec, k: int, h: int, w: int) -> SceneSample:
     """Deterministic scene for (seed, spec): 3-8 shapes over a textured
     background, with appearance shifted per the spec."""
+    images, labels = generate_scenes([seed], [spec], k, h, w)
+    return SceneSample(image=images[0], label=labels[0])
+
+
+def generate_scenes(seeds, specs, k: int, h: int, w: int):
+    """``generate_scene`` of each ``(seeds[i], specs[i])`` pair as one batch:
+    images [n, 3, h, w] float32 and labels [n, h, w] uint8. A scene's bytes
+    depend on its own pair alone; the batch only shares the array work."""
     if k < 3:
         raise ConfigError(f"need at least 3 classes, got {k}")
-    if len(spec.palette) != k:
-        raise ConfigError(f"palette has {len(spec.palette)} colors, expected {k}")
-    base_seed = _seed_tuple(seed)
-    label = None
-    for attempt in range(32):
-        geo = np.random.default_rng((*base_seed, 11, attempt))
-        label = _rasterize(geo, spec, k, h, w)
-        if len(np.unique(label)) >= 2:
-            break
-    else:
-        raise ConfigError("could not place two distinct classes in 32 attempts")
+    if len(specs) != len(seeds):
+        raise ConfigError(f"{len(seeds)} seeds but {len(specs)} domain specs")
+    for spec in specs:
+        if len(spec.palette) != k:
+            raise ConfigError(f"palette has {len(spec.palette)} colors, expected {k}")
+    seeds = [_seed_tuple(seed) for seed in seeds]
+    n = len(seeds)
 
-    app = np.random.default_rng((*base_seed, 13))
-    palette = np.asarray(spec.palette, dtype=np.float64)
-    img = palette[label]  # [H, W, 3]
-    img = img + app.standard_normal(img.shape) * spec.texture_noise
-    if spec.hue_shift != 0.0:
-        img = img @ hue_rotation_matrix(spec.hue_shift).T
-    img = (img - 0.5) * spec.contrast + 0.5
-    img = np.clip(img, 0.0, 1.0).astype(np.float32)
-    return SceneSample(image=img.transpose(2, 0, 1).copy(), label=label)
+    def attempt(i, a):
+        geo = np.random.default_rng((*seeds[i], 11, a))
+        return specs[i].background_class, _draw_shapes(geo, specs[i], k, h, w)
+
+    labels = _rasterize([attempt(i, 0) for i in range(n)], h, w)
+    flat = labels.reshape(n, -1)
+    for i in np.flatnonzero(flat.min(axis=1) == flat.max(axis=1)):
+        for a in range(1, _ATTEMPTS):  # one class only: draw the geometry again
+            labels[i] = _rasterize([attempt(i, a)], h, w)[0]
+            if labels[i].min() != labels[i].max():
+                break
+        else:
+            raise ConfigError(
+                f"could not place two distinct classes in {_ATTEMPTS} attempts")
+
+    def column(values):
+        return np.array(values)[:, None, None, None]
+
+    # in place where the arithmetic allows: each step computes what the
+    # one-scene expression does, without another batch-sized temporary
+    colors = np.array([spec.palette for spec in specs], dtype=np.float64).reshape(-1, 3)
+    offset = (np.arange(n, dtype=np.intp) * k)[:, None, None]  # scene i's palette row
+    img = np.take(colors, labels + offset, axis=0)  # [n, h, w, 3]
+    noise = np.empty_like(img)
+    for i, seed in enumerate(seeds):
+        np.random.default_rng((*seed, 13)).standard_normal(out=noise[i])
+    noise *= column([spec.texture_noise for spec in specs])
+    img += noise
+    del noise  # before the hue product allocates its result
+    shifted = [i for i, spec in enumerate(specs) if spec.hue_shift != 0.0]
+    if shifted:
+        # transposed views, as in ``img @ hue_rotation_matrix(deg).T``
+        rot = np.stack([hue_rotation_matrix(specs[i].hue_shift) for i in shifted])
+        rows = slice(None) if len(shifted) == n else shifted  # a view if all turn
+        img[rows] = img[rows] @ rot.transpose(0, 2, 1)[:, None]
+    img -= 0.5
+    img *= column([spec.contrast for spec in specs])
+    img += 0.5
+    np.clip(img, 0.0, 1.0, out=img)
+    return np.ascontiguousarray(img.transpose(0, 3, 1, 2), dtype=np.float32), labels
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +291,9 @@ def _decode_pnm(data, path, magic_want, channels):
     if len(body) != need:
         raise ParseError(path, pos + len(body),
                          f"truncated body: have {len(body)} of {need} bytes")
+    if len(data) > pos + need:
+        raise ParseError(path, pos + need,
+                         f"{len(data) - pos - need} trailing bytes after the image")
     arr = np.frombuffer(body, dtype=np.uint8)
     return arr, w, h
 

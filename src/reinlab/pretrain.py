@@ -9,12 +9,16 @@ pixels, and a linear decoder on the final features regresses the raw pixels
 of the blanked patches. (MAE's per-patch normalised target would be mostly
 texture noise on these flat-coloured scenes.)
 
-The unlabeled pretraining scenes come from ``generate_scene`` with
+The unlabeled pretraining scenes come from ``generate_scenes`` with
 appearance drawn afresh per scene (hue, contrast, texture noise), the way a
 foundation model sees broad imagery before any labeled fine-tuning. Their
 seeds ``(seed, PRETRAIN_SPLIT, index)`` never coincide with the benchmark's
 ``(seed, split, index)`` because ``PRETRAIN_SPLIT`` lies outside the split
 range, and no label is used.
+
+One worker thread draws the next step's scenes while the current step
+trains. A scene depends only on its index, and the mask stream stays on the
+calling thread in step order, so the bytes do not depend on timing.
 
 The result is a checkpoint holding backbone tensors only, with the recipe
 in its metadata; identical recipes give identical bytes.
@@ -25,13 +29,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint
-from .data import DomainSpec, default_palette, generate_scene
+from .data import DomainSpec, default_palette, generate_scenes
 from .errors import ConfigError
 from .optim import AdamW
 from .tensor import Tape, Tensor
@@ -69,16 +74,21 @@ class PretrainConfig:
             raise ConfigError(f"pretrain steps must be >= 0, got {self.steps}")
 
 
-def pretrain_scene(cfg: PretrainConfig, index: int, size: int):
-    """Image of pretraining scene ``index``: fresh geometry and appearance."""
-    app = np.random.default_rng((cfg.seed, PRETRAIN_SPLIT, index, _STREAM_APPEARANCE))
+def pretrain_scenes(cfg: PretrainConfig, first: int, count: int, size: int):
+    """Images [count, 3, size, size] of pretraining scenes ``first`` to
+    ``first + count - 1``: fresh geometry and appearance per scene."""
     hue = RECIPE["hue_range"]
-    spec = DomainSpec(palette=default_palette(RECIPE["palette_size"]),
-                      hue_shift=float(app.uniform(-hue, hue)),
-                      contrast=float(app.uniform(*RECIPE["contrast_range"])),
-                      texture_noise=float(app.uniform(*RECIPE["noise_range"])))
-    return generate_scene((cfg.seed, PRETRAIN_SPLIT, index), spec,
-                          RECIPE["palette_size"], size, size).image
+    palette = default_palette(RECIPE["palette_size"])
+    seeds, specs = [], []
+    for index in range(first, first + count):
+        app = np.random.default_rng((cfg.seed, PRETRAIN_SPLIT, index, _STREAM_APPEARANCE))
+        seeds.append((cfg.seed, PRETRAIN_SPLIT, index))
+        specs.append(DomainSpec(palette=palette,
+                                hue_shift=float(app.uniform(-hue, hue)),
+                                contrast=float(app.uniform(*RECIPE["contrast_range"])),
+                                texture_noise=float(app.uniform(*RECIPE["noise_range"]))))
+    images, _ = generate_scenes(seeds, specs, RECIPE["palette_size"], size, size)
+    return images
 
 
 def lr_factor(step: int, steps: int) -> float:
@@ -105,29 +115,35 @@ def pretrain_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
     size, ps, g = vit_cfg.image_size, vit_cfg.patch_size, vit_cfg.grid
     bsz = RECIPE["batch_size"]
     losses = []
-    for step in range(cfg.steps):
-        opt.lr = RECIPE["lr"] * lr_factor(step, cfg.steps)
-        first = step * bsz
-        images = np.stack([pretrain_scene(cfg, first + j, size)
-                           for j in range(bsz)])
-        target = backbone.patchify(images)
-        masked = np.zeros((bsz, n), dtype=bool)
-        for j in range(bsz):
-            masked[j, mask_rng.permutation(n)[:n_masked]] = True
-        pixel_mask = masked.reshape(bsz, g, 1, g, 1)
-        pixel_mask = np.broadcast_to(pixel_mask, (bsz, g, ps, g, ps))
-        visible = np.where(pixel_mask.reshape(bsz, 1, size, size),
-                           0.0, images).astype(images.dtype)
-        weight = masked.reshape(-1, 1) / float(masked.sum() * pdim)
-        with Tape() as tape:
-            _, feats = backbone.forward(visible)
-            pred = T.linear(feats, decoder["decoder.W"], decoder["decoder.b"])
-            err = T.add(pred, Tensor(-target))
-            loss = T.sum_all(T.mul(T.mul(err, err), Tensor(weight)))
-            tape.backward(loss)
-        opt.step()
-        opt.zero_grad()
-        losses.append(loss.item())
+    # one batch ahead: the worker draws step + 1's scenes while step trains
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def draw(step):
+            return pool.submit(pretrain_scenes, cfg, step * bsz, bsz, size)
+
+        pending = draw(0) if cfg.steps else None
+        for step in range(cfg.steps):
+            images = pending.result()
+            if step + 1 < cfg.steps:
+                pending = draw(step + 1)
+            opt.lr = RECIPE["lr"] * lr_factor(step, cfg.steps)
+            target = backbone.patchify(images)
+            masked = np.zeros((bsz, n), dtype=bool)
+            for j in range(bsz):
+                masked[j, mask_rng.permutation(n)[:n_masked]] = True
+            pixel_mask = masked.reshape(bsz, g, 1, g, 1)
+            pixel_mask = np.broadcast_to(pixel_mask, (bsz, g, ps, g, ps))
+            visible = np.where(pixel_mask.reshape(bsz, 1, size, size),
+                               0.0, images).astype(images.dtype)
+            weight = masked.reshape(-1, 1) / float(masked.sum() * pdim)
+            with Tape() as tape:
+                _, feats = backbone.forward(visible)
+                pred = T.linear(feats, decoder["decoder.W"], decoder["decoder.b"])
+                err = T.add(pred, Tensor(-target))
+                loss = T.sum_all(T.mul(T.mul(err, err), Tensor(weight)))
+                tape.backward(loss)
+            opt.step()
+            opt.zero_grad()
+            losses.append(loss.item())
     window = max(1, min(LOSS_WINDOW, len(losses)))
     meta = {"pretrain": asdict(cfg), "recipe": dict(RECIPE),
             "vit": asdict(vit_cfg),

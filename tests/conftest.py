@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,17 @@ from reinlab.data import generate_benchmark
 from reinlab.head import HeadConfig
 from reinlab.train import TrainConfig
 from reinlab.vit import ViTConfig
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a Python thread running. Only ``threading``
+    threads count; BLAS keeps its own pool, which this does not see."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"test left {len(leaked)} thread(s) running: {leaked}")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """Scene generation determinism, domain-shift semantics, file round-trips."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,98 @@ def test_class_frequency_stable_across_seed_chunks():
     assert rel.max() <= 0.2
 
 
+def test_label_maps_match_recorded_digest():
+    # SHA-256 of the label maps of 160 fixed scenes, recorded before the
+    # rasteriser switched from a dense grid to broadcast coordinates.
+    # Labels only: the image bytes also pass through a BLAS matmul.
+    digest = hashlib.sha256()
+    for spec in (D.default_source_spec(6), D.default_target_spec(6)):
+        for h, w in ((64, 64), (32, 48)):
+            for seed in range(40):
+                digest.update(D.generate_scene((seed, 7), spec, 6, h, w).label.tobytes())
+    assert digest.hexdigest() == \
+        "9810dbed5d678f0c8fc7d944915c28e026ecc6e365e8a0ba68551b642d03a342"
+
+
+def _loop_scene(seed, spec, k, h, w):
+    """One scene, one shape at a time on a dense pixel grid: the reference
+    that ``generate_scenes`` must equal bit for bit. Also returns the
+    geometry attempt that placed two classes."""
+    yy, xx = np.mgrid[0:h, 0:w]
+    for attempt in range(32):
+        geo = np.random.default_rng((*seed, 11, attempt))
+        label = np.full((h, w), spec.background_class, dtype=np.uint8)
+        count = int(geo.integers(3, 9))
+        classes = [c for c in range(k) if c != spec.background_class]
+        order = geo.permutation(len(classes))
+        lo, hi = spec.size_min * min(h, w), spec.size_max * min(h, w)
+        for j in range(count):
+            cls = classes[order[j % len(classes)]]
+            kind = int(geo.integers(0, 3))
+            cy, cx = geo.uniform(0, h), geo.uniform(0, w)
+            size = geo.uniform(lo, hi)
+            if kind == 0:
+                hy, hx = size * geo.uniform(0.4, 0.8), size * geo.uniform(0.4, 0.8)
+                mask = (np.abs(yy - cy) <= hy) & (np.abs(xx - cx) <= hx)
+            elif kind == 1:
+                mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= (size / 2) ** 2
+            else:
+                ang = geo.uniform(0, 2 * math.pi)
+                verts = []
+                for v in range(3):
+                    a = ang + v * 2 * math.pi / 3 + geo.uniform(-0.4, 0.4)
+                    rad = size / 2 * geo.uniform(0.7, 1.0)
+                    verts.append((cy + rad * math.sin(a), cx + rad * math.cos(a)))
+                mask = np.ones((h, w), dtype=bool)
+                for v in range(3):
+                    (y0, x0), (y1, x1), (y2, x2) = (verts[(v + i) % 3] for i in range(3))
+                    cross = (x1 - x0) * (yy - y0) - (y1 - y0) * (xx - x0)
+                    side = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+                    mask &= (cross * side) >= 0
+            label[mask] = cls
+        if len(np.unique(label)) >= 2:
+            break
+    else:
+        raise ConfigError("could not place two distinct classes in 32 attempts")
+    img = np.asarray(spec.palette, dtype=np.float64)[label]
+    noise = np.random.default_rng((*seed, 13)).standard_normal(img.shape)
+    img = img + noise * spec.texture_noise
+    if spec.hue_shift != 0.0:
+        img = img @ D.hue_rotation_matrix(spec.hue_shift).T
+    img = np.clip((img - 0.5) * spec.contrast + 0.5, 0.0, 1.0).astype(np.float32)
+    return img.transpose(2, 0, 1), label, attempt
+
+
+@pytest.mark.parametrize("h, w", [(64, 64), (32, 48), (9, 17)])
+def test_batched_scenes_equal_the_per_scene_loop(h, w):
+    palette = D.default_palette(6)
+    rng = np.random.default_rng(h * w)
+    specs = [D.default_source_spec(6), D.default_target_spec(6),
+             # shapes under a pixel wide often miss every pixel centre: redraws
+             D.DomainSpec(palette=palette, size_min=0.3 / min(h, w),
+                          size_max=0.8 / min(h, w), background_class=2,
+                          texture_noise=0)]
+    specs += [D.DomainSpec(palette=palette, hue_shift=rng.uniform(-180, 180),
+                           contrast=rng.uniform(0.5, 1.2),
+                           texture_noise=rng.uniform(0, 0.08)) for _ in range(5)]
+    seeds = [(i, 9) for i in range(48)]
+    batch = [specs[i % len(specs)] for i in range(len(seeds))]
+    images, labels = D.generate_scenes(seeds, batch, 6, h, w)
+    attempts = []
+    for i, (seed, spec) in enumerate(zip(seeds, batch)):
+        image, label, attempt = _loop_scene(seed, spec, 6, h, w)
+        assert images[i].tobytes() == image.tobytes(), i
+        assert labels[i].tobytes() == label.tobytes(), i
+        attempts.append(attempt)
+    assert max(attempts) > 0  # the redraw path ran
+
+
+def test_scene_without_two_classes_raises():
+    spec = D.DomainSpec(palette=D.default_palette(6), size_min=1e-4, size_max=2e-4)
+    with pytest.raises(ConfigError, match="32 attempts"):
+        D.generate_scene(0, spec, 6, 8, 8)
+
+
 def test_hue_rotation_preserves_gray():
     m = D.hue_rotation_matrix(77.0)
     np.testing.assert_allclose(m @ np.ones(3), np.ones(3), atol=1e-12)
@@ -107,8 +202,6 @@ def test_bad_magic_raises():
 
 
 def test_benchmark_manifest_and_reproducibility(tmp_path):
-    import hashlib
-
     def digest(p):
         h = hashlib.sha256()
         for f in sorted(p.rglob("*")):

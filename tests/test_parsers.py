@@ -1,6 +1,7 @@
 """Parsers fail only with ParseError: checkpoints and PPM/PGM files under
-random truncations and byte mutations, plus the hand-made cases that used
-to escape as other exception types."""
+random truncations, byte mutations and appended bytes, plus the hand-made
+cases that used to escape as other exception types or parse silently. A
+checkpoint that parses re-saves as the same bytes."""
 
 import struct
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from reinlab.checkpoint import MAGIC, VERSION, Checkpoint
 from reinlab.data import decode_pgm, decode_ppm, write_pgm, write_ppm
-from reinlab.errors import ParseError
+from reinlab.errors import ContractError, ParseError
 
 # deterministic example sequence, and no example database in the work tree
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
@@ -56,7 +57,23 @@ def test_checkpoint_mutation_parses_or_raises_parse_error(edits):
     except ParseError as e:
         assert 0 <= e.offset <= len(CKPT)
         return
-    assert isinstance(ckpt.meta, dict)
+    assert ckpt.to_bytes() == apply(CKPT, edits)
+
+
+def test_checkpoint_duplicate_tensor_name_rejected_at_its_offset():
+    raw = Checkpoint(tensors={"head.a": (np.zeros(2, dtype="<f4"), "head"),
+                              "head.b": (np.zeros(3, dtype="<f4"), "head")}).to_bytes()
+    assert len(raw) == 70
+    second = raw.index(b"head.b")
+    with pytest.raises(ParseError, match="duplicate") as err:
+        Checkpoint.from_bytes(raw.replace(b"head.b", b"head.a"))
+    assert err.value.offset == second
+
+
+def test_checkpoint_metadata_that_would_not_load_is_not_saved():
+    # integer keys sort as numbers when saved but as strings when loaded
+    with pytest.raises(ContractError, match="round trip"):
+        Checkpoint(meta={2: "a", 10: "b"}).to_bytes()
 
 
 def _header(name: bytes, ndim, dims):
@@ -79,9 +96,11 @@ def test_checkpoint_non_utf8_name_rejected_at_its_offset():
 
 
 @pytest.mark.parametrize("meta", [b"[1]", b"{\"a\":", b"\xff{}", b"1" * 5000,
-                                  b"[" * 100_000],
+                                  b"[" * 100_000, b"", b"{\"a\": 1}",
+                                  b"{\"b\":1,\"a\":2}", b"{\"a\":1,\"a\":2}"],
                          ids=["not-an-object", "bad-json", "not-utf8", "long-int",
-                              "deep-nesting"])
+                              "deep-nesting", "empty", "space", "unsorted",
+                              "repeated-key"])
 def test_checkpoint_bad_metadata_rejected(meta):
     raw = MAGIC + struct.pack("<II", VERSION, 0) + struct.pack("<I", len(meta)) + meta
     with pytest.raises(ParseError, match="metadata") as err:
@@ -124,6 +143,22 @@ def test_pnm_mutation_parses_or_raises_parse_error(pnm, kind, data):
         DECODE[kind](apply(raw, data.draw(mutations(raw))))
     except ParseError as e:
         assert 0 <= e.offset <= len(raw)
+
+
+@pytest.mark.parametrize("kind", ["ppm", "pgm"])
+@PROPERTY
+@given(suffix=st.binary(min_size=1, max_size=16))
+def test_pnm_trailing_bytes_raise_parse_error(pnm, kind, suffix):
+    with pytest.raises(ParseError, match="trailing") as err:
+        DECODE[kind](pnm[kind] + suffix)
+    assert err.value.offset == len(pnm[kind])
+
+
+def test_pgm_trailing_bytes_rejected_at_their_offset():
+    head = b"P5\n2 2\n255\n"
+    with pytest.raises(ParseError, match="4 trailing bytes") as err:
+        decode_pgm(head + bytes(4) + b"junk")
+    assert err.value.offset == len(head) + 4
 
 
 @pytest.mark.parametrize("size", [b"-5 -4", b"0 4"], ids=["negative", "zero"])

@@ -1,16 +1,19 @@
 """Backbone pretraining: determinism, sharing across modes, provenance."""
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from conftest import state_bytes, tiny_train_config
+from reinlab import pretrain as pretrain_mod
 from reinlab import train as train_mod
 from reinlab.data import SPLITS, generate_scene, default_source_spec
 from reinlab.errors import ConfigError
 from reinlab.pretrain import (PRETRAIN_SPLIT, RECIPE, PretrainConfig,
-                              lr_factor, pretrain_backbone, pretrain_scene,
+                              lr_factor, pretrain_backbone, pretrain_scenes,
                               pretrained_backbone)
 from reinlab.train import TrainConfig, build_model, desk_config
 from reinlab.vit import ViTConfig
@@ -30,6 +33,47 @@ def test_recipe_is_byte_deterministic():
     # the recipe really trains: three steps move the backbone off its init
     c = pretrain_backbone(vit, dataclasses.replace(SHORT, steps=0))
     assert _backbone_bytes(a) != _backbone_bytes(c)
+
+
+def test_prefetch_bytes_do_not_depend_on_scene_timing(monkeypatch):
+    vit = desk_config().vit
+    cfg = dataclasses.replace(SHORT, steps=4)
+    want = pretrain_backbone(vit, cfg).to_bytes()
+    draw = pretrain_mod.pretrain_scenes
+    jitter = np.random.default_rng(5)
+
+    def slow_scenes(cfg, first, count, size):
+        time.sleep(jitter.uniform(0.0, 0.002))
+        return draw(cfg, first, count, size)
+
+    monkeypatch.setattr(pretrain_mod, "pretrain_scenes", slow_scenes)
+    assert pretrain_backbone(vit, cfg).to_bytes() == want
+
+
+def test_prefetch_error_is_reraised_and_worker_stops(monkeypatch):
+    draw = pretrain_mod.pretrain_scenes
+    error = ConfigError("scene 10 is broken")
+
+    def failing_scenes(cfg, first, count, size):
+        if first <= 10 < first + count:
+            raise error
+        return draw(cfg, first, count, size)
+
+    monkeypatch.setattr(pretrain_mod, "pretrain_scenes", failing_scenes)
+    threads = threading.active_count()
+    with pytest.raises(ConfigError) as err:
+        pretrain_backbone(desk_config().vit, SHORT)
+    assert err.value is error
+    assert threading.active_count() == threads
+
+
+def test_zero_steps_start_no_worker(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    pretrain_backbone(desk_config().vit, dataclasses.replace(SHORT, steps=0))
+    assert started == []
 
 
 def test_recipe_seed_changes_bytes():
@@ -69,7 +113,7 @@ def test_desk_recipe_reduces_reconstruction_loss():
 def test_pretraining_scenes_are_not_benchmark_scenes():
     assert PRETRAIN_SPLIT not in range(len(SPLITS))
     size = 32
-    ours = pretrain_scene(SHORT, 0, size)
+    ours = pretrain_scenes(SHORT, 0, 1, size)[0]
     for split in range(len(SPLITS)):
         theirs = generate_scene((SHORT.seed, split, 0), default_source_spec(6),
                                 6, size, size).image
