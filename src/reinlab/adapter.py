@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
@@ -73,56 +71,6 @@ class ReinConfig:
         return cls(**{**kw, **VARIANTS[variant]})
 
 
-class ReinAdapter:
-    """Adapter parameters and the backbone hook that applies them.
-
-    Per-layer tensors live under ``adapter.layerNN.*`` (1-based), shared
-    MLPs under ``adapter.shared.*`` and the query-fusion map under
-    ``adapter.final.*``.
-
-    Calling the adapter as ``hook(i, f_i)`` returns the layer's feature
-    delta and stashes its query set; ``aggregate_query()`` fuses the stash
-    once the forward pass has visited every layer.
-    """
-
-    def __init__(self, cfg: ReinConfig, tensors: dict):
-        self.cfg = cfg
-        self.tensors = tensors
-        self._queries = []
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def named_tensors(self):
-        return list(self.tensors.items())
-
-    def mlp(self, kind: str, i: int) -> tuple:
-        """(weight, bias) of MLP ``kind`` in {T, f, Q} for layer ``i``."""
-        scope = "adapter.shared" if self.cfg.use_share else f"adapter.layer{i:02d}"
-        return self.tensors[f"{scope}.W_{kind}"], self.tensors[f"{scope}.b_{kind}"]
-
-    def __call__(self, i: int, f: Tensor) -> Tensor:
-        if i == 1:
-            self._queries = []
-        delta, q_i = rein_refine(i, f, self)
-        if q_i is not None:
-            self._queries.append(q_i)
-        return delta
-
-    def aggregate_query(self) -> Tensor:
-        if not self.cfg.use_link:
-            raise ContractError("aggregate_query requires the link variant")
-        if len(self._queries) != self.cfg.depth:
-            raise ContractError(
-                f"saw {len(self._queries)} layer queries, expected {self.cfg.depth}"
-            )
-        return aggregate_queries(
-            self._queries,
-            self["adapter.final.W_Q_cat"],
-            self["adapter.final.b_Q_cat"],
-        )
-
-
 def param_shapes(cfg: ReinConfig) -> dict:
     """Adapter tensors in draw order: name -> (shape, init), in the format
     that ``tensor.parameters`` draws. A weight is drawn uniform in
@@ -156,60 +104,68 @@ def param_shapes(cfg: ReinConfig) -> dict:
     return p
 
 
-def init_parameters(cfg: ReinConfig, seed) -> ReinAdapter:
-    """Build an adapter with its ``param_shapes`` table freshly drawn."""
-    return ReinAdapter(cfg, T.parameters(param_shapes(cfg), np.random.default_rng(seed)))
-
-
-# ---------------------------------------------------------------------------
-# the refinement chain
-
-
-def materialize_tokens(adapter: ReinAdapter, i: int) -> Tensor:
-    """Token sequence T_i as an [m, c] tensor (A_i x B_i when factorized)."""
-    if not adapter.cfg.use_lora:
-        return adapter[f"adapter.layer{i:02d}.T"]
-    return T.matmul(adapter[f"adapter.layer{i:02d}.A"],
-                    adapter[f"adapter.layer{i:02d}.B"])
-
-
 def similarity_map(f: Tensor, tokens: Tensor, c: int) -> Tensor:
     """Row-softmax of f tokens^T / sqrt(c); rows sum to one."""
     logits = T.scale(T.matmul(f, T.transpose(tokens)), 1.0 / math.sqrt(c))
     return T.softmax_rows(logits)
 
 
-def feature_delta(dbar: Tensor, f: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
-    """Final modification (dbar + f) W_f + b_f."""
-    return T.linear(T.add(dbar, f), w_f, b_f)
+class ReinAdapter:
+    """Adapter tensors and the backbone hook that applies them.
 
+    Per-layer tensors live under ``adapter.layerNN.*`` (1-based), shared
+    MLPs under ``adapter.shared.*`` and the query-fusion map under
+    ``adapter.final.*``; every tensor starts trainable, and
+    ``SegModel.set_trained`` narrows the set.
 
-def layer_queries(tokens: Tensor, w_q: Tensor, b_q: Tensor) -> Tensor:
-    """Per-layer query set Q_i = T_i W_Q + b_Q."""
-    return T.linear(tokens, w_q, b_q)
+    Calling the adapter as ``hook(i, f_i)`` returns the layer's feature
+    delta and stashes its query set; ``aggregate_query()`` fuses the stash
+    once the forward pass has visited every layer.
+    """
 
+    def __init__(self, cfg: ReinConfig, rng):
+        self.cfg = cfg
+        self.params = T.parameters(param_shapes(cfg), rng)
+        self._queries = []
 
-def aggregate_queries(qs, w_cat: Tensor, b_cat: Tensor) -> Tensor:
-    """Fuse layer queries: concat([max_i Q_i, mean_i Q_i, Q_N]) W + b."""
-    qs = list(qs)
-    if not qs:
-        raise ContractError("aggregate_queries: empty layer-query list")
-    fused = T.concat([T.stack_max(qs), T.stack_mean(qs), qs[-1]], axis=-1)
-    return T.linear(fused, w_cat, b_cat)
+    def named_tensors(self):
+        return list(self.params.items())
 
+    def mlp(self, kind: str, i: int) -> tuple:
+        """(weight, bias) of MLP ``kind`` in {T, f, Q} for layer ``i``."""
+        scope = "adapter.shared" if self.cfg.use_share else f"adapter.layer{i:02d}"
+        return self.params[f"{scope}.W_{kind}"], self.params[f"{scope}.b_{kind}"]
 
-def rein_refine(i: int, f: Tensor, adapter: ReinAdapter):
-    """One layer of refinement; returns (delta_f_i, Q_i or None)."""
-    cfg = adapter.cfg
-    tokens = materialize_tokens(adapter, i)
-    sim = similarity_map(f, tokens, cfg.c)
-    w_t, b_t = adapter.mlp("T", i)
-    folded = T.linear(T.row_slice(tokens, 1, cfg.m), w_t, b_t)
-    dbar = T.matmul(T.col_slice(sim, 1, cfg.m), folded)
-    w_f, b_f = adapter.mlp("f", i)
-    delta = feature_delta(dbar, f, w_f, b_f)
-    q_i = None
-    if cfg.use_link:
-        w_q, b_q = adapter.mlp("Q", i)
-        q_i = layer_queries(tokens, w_q, b_q)
-    return delta, q_i
+    def tokens(self, i: int) -> Tensor:
+        """Token sequence T_i as an [m, c] tensor (A_i x B_i when factorized)."""
+        lp = f"adapter.layer{i:02d}."
+        if not self.cfg.use_lora:
+            return self.params[lp + "T"]
+        return T.matmul(self.params[lp + "A"], self.params[lp + "B"])
+
+    def __call__(self, i: int, f: Tensor) -> Tensor:
+        """Feature delta d_i of layer ``i``; stashes Q_i = T_i W_Q + b_Q after
+        it when queries are linked."""
+        cfg = self.cfg
+        if i == 1:
+            self._queries = []
+        tokens = self.tokens(i)
+        sim = similarity_map(f, tokens, cfg.c)
+        folded = T.linear(T.row_slice(tokens, 1, cfg.m), *self.mlp("T", i))
+        dbar = T.matmul(T.col_slice(sim, 1, cfg.m), folded)
+        delta = T.linear(T.add(dbar, f), *self.mlp("f", i))
+        if cfg.use_link:
+            self._queries.append(T.linear(tokens, *self.mlp("Q", i)))
+        return delta
+
+    def aggregate_query(self) -> Tensor:
+        """Fuse the stashed layer queries: concat([max_i Q_i, mean_i Q_i,
+        Q_N]) W + b."""
+        if not self.cfg.use_link:
+            raise ContractError("aggregate_query requires the link variant")
+        qs = self._queries
+        if len(qs) != self.cfg.depth:
+            raise ContractError(f"saw {len(qs)} layer queries, expected {self.cfg.depth}")
+        fused = T.concat([T.stack_max(qs), T.stack_mean(qs), qs[-1]], axis=-1)
+        return T.linear(fused, self.params["adapter.final.W_Q_cat"],
+                        self.params["adapter.final.b_Q_cat"])

@@ -70,10 +70,6 @@ class DomainSpec:
         d["palette"] = [list(col) for col in d["palette"]]  # JSON-native
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def default_source_spec(k: int) -> DomainSpec:
     return DomainSpec(palette=default_palette(k))

@@ -112,7 +112,7 @@ class SegHead:
         fused_feats = T.concat(list(tapped), axis=-1)
         return T.linear(fused_feats, self.params["head.W_pix"], self.params["head.b_pix"])
 
-    def decode_rows(self, tapped, query=None, batch_size=1):
+    def decode_rows(self, tapped, query=None):
         """Batch decode; returns (pixel_rows [B*H*W, K], class_logits,
         mask_logits, coarse [K, B*n]).
 
@@ -122,6 +122,9 @@ class SegHead:
         """
         p = self.params
         pix = self._pixel_embed(tapped)  # [B*n, d]
+        if pix.shape[0] % self.n_patches:
+            raise ShapeError(f"{pix.shape[0]} feature rows do not split into "
+                             f"images of {self.n_patches} patches")
         if query is None:
             if not self.owns_queries:
                 raise ContractError("query-based head expects an external query set")
@@ -134,7 +137,7 @@ class SegHead:
         # upsamples the batch; [K*B, H*W] is then class-major [K, B*H*W],
         # and its transpose gives image-major pixel rows without a copy.
         k = coarse.shape[0]
-        up = T.matmul(T.reshape(coarse, (k * batch_size, self.n_patches)),
+        up = T.matmul(T.reshape(coarse, (-1, self.n_patches)),
                       self._upsample)
         rows = T.transpose(T.reshape(up, (k, -1)))
         return rows, class_logits, mask_logits, coarse

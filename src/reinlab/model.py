@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .adapter import ReinConfig, init_parameters
+from .adapter import ReinAdapter, ReinConfig
 from .errors import ConfigError, ContractError
 from .head import HeadConfig, SegHead
 from .vit import ViTBackbone, ViTConfig
@@ -60,7 +60,8 @@ class SegModel:
         self.adapter = None
         linked = False
         if mode == "rein":
-            self.adapter = init_parameters(rein_cfg, (self.seed, _STREAM_ADAPTER))
+            self.adapter = ReinAdapter(
+                rein_cfg, np.random.default_rng((self.seed, _STREAM_ADAPTER)))
             linked = rein_cfg.use_link
         query_dim = rein_cfg.c_prime if rein_cfg is not None else 16
         if linked and head_cfg.num_queries != rein_cfg.m:
@@ -106,12 +107,11 @@ class SegModel:
 
     def forward_rows(self, images: np.ndarray):
         """Decode a [B,3,H,W] batch to per-pixel logit rows [B*H*W, K]."""
-        bsz = images.shape[0]
         tapped, _ = self.backbone.forward(images, hook=self.adapter)
         query = None
         if self.adapter is not None and self.adapter.cfg.use_link:
             query = self.adapter.aggregate_query()
-        rows, _, _, _ = self.head.decode_rows(tapped, query, bsz)
+        rows, _, _, _ = self.head.decode_rows(tapped, query)
         return rows
 
     def predict_labels(self, images: np.ndarray) -> np.ndarray:

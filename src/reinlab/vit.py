@@ -139,15 +139,19 @@ class ViTBackbone:
         x = T.add(T.reshape(x, (bsz, n, c)), p["backbone.pos"])
         return T.reshape(x, (bsz * n, c))
 
-    def layer_forward(self, i: int, f: Tensor, batch_size: int = 1) -> Tensor:
-        """Apply encoder layer ``i`` (1-based) to [B*n, c] features."""
+    def layer_forward(self, i: int, f: Tensor) -> Tensor:
+        """Apply encoder layer ``i`` (1-based) to [B*n, c] features; each
+        image attends within its own n rows."""
+        n = self.cfg.num_patches
+        if f.shape[0] % n:
+            raise ShapeError(f"features {f.shape} do not split into images of {n} patches")
         p = self.params
         lp = f"backbone.layer{i:02d}."
         x = T.layer_norm(f, p[lp + "ln1.g"], p[lp + "ln1.b"])
         q = T.linear(x, p[lp + "attn.Wq"], p[lp + "attn.bq"])
         k = T.linear(x, p[lp + "attn.Wk"], p[lp + "attn.bk"])
         v = T.linear(x, p[lp + "attn.Wv"], p[lp + "attn.bv"])
-        ctx = T.attention(q, k, v, batch_size, self.cfg.heads)
+        ctx = T.attention(q, k, v, f.shape[0] // n, self.cfg.heads)
         f = T.add(f, T.linear(ctx, p[lp + "attn.Wo"], p[lp + "attn.bo"]))
 
         x = T.layer_norm(f, p[lp + "ln2.g"], p[lp + "ln2.b"])
@@ -161,11 +165,10 @@ class ViTBackbone:
         ``hook(i, f_i) -> delta_i`` runs after every layer; the refined
         ``f_i + delta_i`` feeds layer i+1 and is what tap layers expose.
         """
-        bsz = images.shape[0]
         f = self.embed(images)
         taps = {}
         for i in range(1, self.cfg.depth + 1):
-            f = self.layer_forward(i, f, bsz)
+            f = self.layer_forward(i, f)
             if hook is not None:
                 delta = hook(i, f)
                 if delta.shape != f.shape:

@@ -1,6 +1,7 @@
 """Refinement adapter: init contract, chain math vs oracles, sharing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ def cfg_toy(**kw):
     base = dict(c=8, depth=2, m=4, r=2, c_prime=4)
     base.update(kw)
     return A.ReinConfig(**base)
+
+
+def make(cfg, seed=0):
+    return A.ReinAdapter(cfg, np.random.default_rng(seed))
 
 
 def elimination_rank(mat, tol=1e-4):
@@ -64,7 +69,7 @@ def test_variant_flags():
 
 
 def test_init_zero_and_uniform_split():
-    params = A.init_parameters(cfg_toy(), seed=0)
+    params = make(cfg_toy()).params
     assert np.all(params["adapter.shared.W_f"].data == 0.0)
     for name in ("b_T", "b_f", "b_Q"):
         assert np.all(params[f"adapter.shared.{name}"].data == 0.0)
@@ -76,24 +81,22 @@ def test_init_zero_and_uniform_split():
 
 
 def test_init_seed_sensitivity():
-    a1 = A.init_parameters(cfg_toy(), seed=1)["adapter.layer01.A"].data
-    a2 = A.init_parameters(cfg_toy(), seed=2)["adapter.layer01.A"].data
+    a1 = make(cfg_toy(), seed=1).params["adapter.layer01.A"].data
+    a2 = make(cfg_toy(), seed=2).params["adapter.layer01.A"].data
     assert np.all(a1 != a2)
 
 
 def test_init_rank_one_tokens():
     cfg = A.ReinConfig(c=4, depth=1, m=2, r=1, c_prime=4)
-    params = A.init_parameters(cfg, seed=3)
-    tokens = A.materialize_tokens(params, 1)
-    assert elimination_rank(tokens.data) <= 1
+    assert elimination_rank(make(cfg, seed=3).tokens(1).data) <= 1
 
 
 def test_shared_storage_is_single_slot():
-    params = A.init_parameters(cfg_toy(), seed=0)
-    w1, _ = params.mlp("T", 1)
-    w2, _ = params.mlp("T", 2)
+    adapter = make(cfg_toy())
+    w1, _ = adapter.mlp("T", 1)
+    w2, _ = adapter.mlp("T", 2)
     assert w1 is w2
-    untied = A.init_parameters(cfg_toy(use_share=False), seed=0)
+    untied = make(cfg_toy(use_share=False))
     assert untied.mlp("T", 1)[0] is not untied.mlp("T", 2)[0]
 
 
@@ -102,19 +105,15 @@ def test_shared_storage_is_single_slot():
 
 
 def test_materialize_hand_product():
-    cfg = A.ReinConfig(c=2, depth=1, m=2, r=1, c_prime=2)
-    params = A.init_parameters(cfg, seed=0)
-    params["adapter.layer01.A"].data[:] = [[1.0], [0.0]]
-    params["adapter.layer01.B"].data[:] = [[2.0, 3.0]]
-    tokens = A.materialize_tokens(params, 1)
-    np.testing.assert_array_equal(tokens.data, [[2.0, 3.0], [0.0, 0.0]])
+    adapter = make(A.ReinConfig(c=2, depth=1, m=2, r=1, c_prime=2))
+    adapter.params["adapter.layer01.A"].data[:] = [[1.0], [0.0]]
+    adapter.params["adapter.layer01.B"].data[:] = [[2.0, 3.0]]
+    np.testing.assert_array_equal(adapter.tokens(1).data, [[2.0, 3.0], [0.0, 0.0]])
 
 
 def test_materialize_rank_bound_large():
     cfg = A.ReinConfig(c=1024, depth=1, m=100, r=16, c_prime=256)
-    params = A.init_parameters(cfg, seed=7)
-    tokens = A.materialize_tokens(params, 1)
-    assert elimination_rank(tokens.data, tol=1e-4) <= 16
+    assert elimination_rank(make(cfg, seed=7).tokens(1).data, tol=1e-4) <= 16
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +121,7 @@ def test_materialize_rank_bound_large():
 
 
 def test_similarity_uniform_for_zero_features():
-    params = A.init_parameters(cfg_toy(), seed=1)
-    tokens = A.materialize_tokens(params, 1)
+    tokens = make(cfg_toy(), seed=1).tokens(1)
     sim = A.similarity_map(Tensor(np.zeros((5, 8))), tokens, 8)
     np.testing.assert_allclose(sim.data, np.full((5, 4), 0.25), atol=1e-7)
 
@@ -166,17 +164,15 @@ def test_similarity_width_mismatch():
 
 
 def core_refine(f, tokens, w_t, b_t, w_f, b_f):
-    """One ``rein_refine`` layer of a core adapter whose tensors are set by
-    hand; returns (delta, f) as float32 arrays."""
+    """One layer of a core adapter whose tensors are set by hand; returns
+    (delta, f) as float32 arrays."""
     m, c = tokens.shape
-    adapter = A.init_parameters(
-        A.ReinConfig.from_variant("rein-core", c=c, depth=1, m=m), seed=0)
+    adapter = make(A.ReinConfig.from_variant("rein-core", c=c, depth=1, m=m))
     for name, value in (("T", tokens), ("W_T", w_t), ("b_T", b_t),
                         ("W_f", w_f), ("b_f", b_f)):
-        adapter[f"adapter.layer01.{name}"].data[:] = value
+        adapter.params[f"adapter.layer01.{name}"].data[:] = value
     f = Tensor(f)
-    delta, _ = A.rein_refine(1, f, adapter)
-    return delta.data, f.data
+    return adapter(1, f).data, f.data
 
 
 def token_mix(f, tokens, w_t, b_t):
@@ -212,22 +208,6 @@ def test_token_delta_all_mass_on_excluded_token():
     assert np.max(np.abs(out)) == 0.0
 
 
-def test_feature_delta_zero_weights_is_identity_start():
-    rng = np.random.default_rng(6)
-    dbar = Tensor(rng.standard_normal((3, 8)))
-    f = Tensor(rng.standard_normal((3, 8)))
-    out = A.feature_delta(dbar, f, Tensor(np.zeros((8, 8))), Tensor(np.zeros(8)))
-    assert np.all(out.data == 0.0)
-
-
-def test_feature_delta_identity_weight():
-    rng = np.random.default_rng(7)
-    f = Tensor(rng.standard_normal((3, 8)))
-    out = A.feature_delta(Tensor(np.zeros((3, 8))), f, Tensor(np.eye(8)),
-                          Tensor(np.zeros(8)))
-    np.testing.assert_allclose(out.data, f.data, atol=1e-7)
-
-
 def test_chain_matches_straight_line_recomputation():
     # independent numpy transcription of similarity -> token delta -> final
     # delta for one layer
@@ -254,38 +234,35 @@ def test_chain_matches_straight_line_recomputation():
 # queries
 
 
-def test_layer_queries_zero_weights():
-    tokens = Tensor(np.random.default_rng(9).standard_normal((4, 8)))
-    q = A.layer_queries(tokens, Tensor(np.zeros((8, 4))), Tensor(np.zeros(4)))
-    assert np.all(q.data == 0.0)
-
-
-def test_layer_queries_identity_selection():
-    rng = np.random.default_rng(10)
-    w = rng.standard_normal((4, 4)).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32)
-    q = A.layer_queries(Tensor(np.eye(4)), Tensor(w), Tensor(b))
-    np.testing.assert_allclose(q.data, w + b, atol=1e-6)
-
-
-def test_layer_queries_matches_matmul_oracle():
+def test_layer_query_matches_matmul_oracle():
+    # a fusion map that picks out the last-layer block exposes Q_N = T_N W_Q + b_Q
+    cfg = A.ReinConfig.from_variant("rein-link", c=8, depth=2, m=4, c_prime=4)
+    adapter = make(cfg, seed=11)
+    p = adapter.params
     rng = np.random.default_rng(11)
-    tok = rng.standard_normal((4, 8)).astype(np.float32)
-    w = rng.standard_normal((8, 4)).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32)
-    got = A.layer_queries(Tensor(tok), Tensor(w), Tensor(b)).data
-    want = tok.astype(np.float64) @ w + b
-    assert np.max(np.abs(got - want)) <= 1e-6
+    p["adapter.layer02.b_Q"].data[:] = rng.standard_normal(4)
+    p["adapter.final.W_Q_cat"].data[:] = np.vstack([np.zeros((8, 4)), np.eye(4)])
+    f = Tensor(rng.standard_normal((5, 8)))
+    for i in (1, 2):
+        adapter(i, f)
+    want = p["adapter.layer02.T"].data.astype(np.float64) @ p["adapter.layer02.W_Q"].data \
+        + p["adapter.layer02.b_Q"].data
+    assert np.max(np.abs(adapter.aggregate_query().data - want)) <= 1e-6
 
 
 def test_aggregate_single_layer_collapse():
+    # with one layer, max, mean and last are all Q_1
+    adapter = make(cfg_toy(depth=1), seed=12)
     rng = np.random.default_rng(12)
-    q1 = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
-    w = Tensor(rng.standard_normal((12, 4)).astype(np.float32))
-    b = Tensor(rng.standard_normal(4).astype(np.float32))
-    got = A.aggregate_queries([q1], w, b).data
-    want = np.concatenate([q1.data] * 3, axis=1) @ w.data + b.data
-    np.testing.assert_allclose(got, want, atol=1e-6)
+    for name in ("adapter.shared.b_Q", "adapter.final.b_Q_cat"):
+        adapter.params[name].data[:] = rng.standard_normal(4)
+    adapter(1, Tensor(rng.standard_normal((5, 8))))
+    p = {n: t.data.astype(np.float64) for n, t in adapter.params.items()}
+    q1 = (p["adapter.layer01.A"] @ p["adapter.layer01.B"] @ p["adapter.shared.W_Q"]
+          + p["adapter.shared.b_Q"])
+    want = np.concatenate([q1] * 3, axis=1) @ p["adapter.final.W_Q_cat"] + \
+        p["adapter.final.b_Q_cat"]
+    np.testing.assert_allclose(adapter.aggregate_query().data, want, atol=1e-5)
 
 
 def test_aggregate_hand_max_avg():
@@ -295,28 +272,42 @@ def test_aggregate_hand_max_avg():
 
 
 def test_aggregate_empty_rejected():
+    # before a full forward the stash holds fewer than depth layer queries
+    adapter = make(cfg_toy())
     with pytest.raises(ContractError):
-        A.aggregate_queries([], Tensor(np.zeros((3, 1))), Tensor(np.zeros(1)))
+        adapter.aggregate_query()
+    adapter(1, Tensor(np.zeros((3, 8))))
+    with pytest.raises(ContractError):
+        adapter.aggregate_query()
+
+
+def test_aggregate_requires_link():
+    adapter = make(cfg_toy(use_link=False))
+    for i in (1, 2):
+        adapter(i, Tensor(np.zeros((3, 8))))
+    with pytest.raises(ContractError):
+        adapter.aggregate_query()
 
 
 def test_aggregate_max_gradient_routing_vs_fd():
     with T.using_dtype(np.float64):
+        cfg = A.ReinConfig.from_variant("rein-link", c=4, depth=3, m=3, c_prime=2)
+        adapter = make(cfg, seed=13)
         rng = np.random.default_rng(13)
-        qs = [Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
-              for _ in range(3)]
-        w = Tensor(rng.uniform(-1, 1, (6, 2)))
-        b = Tensor(rng.uniform(-1, 1, (2,)))
+        f = Tensor(rng.uniform(-1, 1, (5, 4)))
         probe = Tensor(rng.uniform(-1, 1, (3, 2)))
 
-        def loss_of(qlist):
-            return T.sum_all(T.mul(A.aggregate_queries(qlist, w, b), probe))
+        def loss(_tokens):
+            for i in (1, 2, 3):
+                adapter(i, f)
+            return T.sum_all(T.mul(adapter.aggregate_query(), probe))
 
         with Tape() as tape:
-            tape.backward(loss_of(qs))
-        for j, q in enumerate(qs):
-            num = T.finite_difference_gradient(
-                lambda _q: loss_of(qs), q, h=1e-3)
-            assert T.relative_error(q.grad, num.data) <= 1e-3
+            tape.backward(loss(None))
+        for i in (1, 2, 3):
+            tok = adapter.params[f"adapter.layer{i:02d}.T"]
+            num = T.finite_difference_gradient(loss, tok, h=1e-3)
+            assert T.relative_error(tok.grad, num.data) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -324,47 +315,53 @@ def test_aggregate_max_gradient_routing_vs_fd():
 
 
 def test_fresh_init_is_identity():
-    params = A.init_parameters(cfg_toy(), seed=20)
+    adapter = make(cfg_toy(), seed=20)
     rng = np.random.default_rng(21)
     for i in (1, 2):
-        f = Tensor(rng.standard_normal((6, 8)))
-        delta, q = A.rein_refine(i, f, params)
+        delta = adapter(i, Tensor(rng.standard_normal((6, 8))))
         assert np.all(delta.data == 0.0)
-        assert q is not None
+    assert adapter.aggregate_query().shape == (4, 4)
+
+
+def untie(shared):
+    """An untied copy of a shared adapter: every layer's MLP set to the
+    shared values."""
+    cfg = shared.cfg
+    untied = make(replace(cfg, use_share=False))
+    s, u = shared.params, untied.params
+    for i in range(1, cfg.depth + 1):
+        lp = f"adapter.layer{i:02d}."
+        for nm in ("A", "B"):
+            u[lp + nm].data[:] = s[lp + nm].data
+        for kind in ("T", "f", "Q"):
+            u[lp + f"W_{kind}"].data[:] = s[f"adapter.shared.W_{kind}"].data
+            u[lp + f"b_{kind}"].data[:] = s[f"adapter.shared.b_{kind}"].data
+    for nm in ("W_Q_cat", "b_Q_cat"):
+        u["adapter.final." + nm].data[:] = s["adapter.final." + nm].data
+    return untied
 
 
 def test_share_tying_equivalence():
     # untied adapter with every layer's MLP forced to the shared values must
     # produce bitwise-identical deltas and queries
-    shared = A.init_parameters(cfg_toy(), seed=22)
-    untied = A.init_parameters(cfg_toy(use_share=False), seed=23)
-    for i in (1, 2):
-        lp = f"adapter.layer{i:02d}."
-        for nm in ("A", "B"):
-            untied[lp + nm].data[:] = shared[lp + nm].data
-        for kind in ("T", "f", "Q"):
-            untied[lp + f"W_{kind}"].data[:] = shared[f"adapter.shared.W_{kind}"].data
-            untied[lp + f"b_{kind}"].data[:] = shared[f"adapter.shared.b_{kind}"].data
+    shared = make(cfg_toy(), seed=22)
     # give the zero-init W_f something to do
-    shared["adapter.shared.W_f"].data[:] = 0.3
-    for i in (1, 2):
-        untied[f"adapter.layer{i:02d}.W_f"].data[:] = 0.3
+    shared.params["adapter.shared.W_f"].data[:] = 0.3
+    untied = untie(shared)
 
-    rng = np.random.default_rng(24)
-    f = Tensor(rng.standard_normal((5, 8)))
+    f = Tensor(np.random.default_rng(24).standard_normal((5, 8)))
     for i in (1, 2):
-        d_s, q_s = A.rein_refine(i, f, shared)
-        d_u, q_u = A.rein_refine(i, f, untied)
-        assert d_s.data.tobytes() == d_u.data.tobytes()
-        assert q_s.data.tobytes() == q_u.data.tobytes()
+        assert shared(i, f).data.tobytes() == untied(i, f).data.tobytes()
+    assert shared.aggregate_query().data.tobytes() == \
+        untied.aggregate_query().data.tobytes()
 
 
 def test_full_chain_matches_procedure_transcription():
     # literal per-layer transcription of the training-procedure inner loop,
     # written in plain numpy
     cfg = cfg_toy()
-    adapter = A.init_parameters(cfg, seed=25)
-    adapter["adapter.shared.W_f"].data[:] = np.random.default_rng(26).standard_normal(
+    adapter = make(cfg, seed=25)
+    adapter.params["adapter.shared.W_f"].data[:] = np.random.default_rng(26).standard_normal(
         (8, 8)).astype(np.float32) * 0.2
     rng = np.random.default_rng(27)
     f = rng.standard_normal((6, 8)).astype(np.float32)
@@ -377,18 +374,15 @@ def test_full_chain_matches_procedure_transcription():
         got_f = got_f + d.data
     got_q = adapter.aggregate_query().data
 
-    w_t = adapter["adapter.shared.W_T"].data.astype(np.float64)
-    b_t = adapter["adapter.shared.b_T"].data.astype(np.float64)
-    w_f = adapter["adapter.shared.W_f"].data.astype(np.float64)
-    b_f = adapter["adapter.shared.b_f"].data.astype(np.float64)
-    w_q = adapter["adapter.shared.W_Q"].data.astype(np.float64)
-    b_q = adapter["adapter.shared.b_Q"].data.astype(np.float64)
+    p = {n: t.data.astype(np.float64) for n, t in adapter.params.items()}
+    w_t, b_t = p["adapter.shared.W_T"], p["adapter.shared.b_T"]
+    w_f, b_f = p["adapter.shared.W_f"], p["adapter.shared.b_f"]
+    w_q, b_q = p["adapter.shared.W_Q"], p["adapter.shared.b_Q"]
     ref_f = f.astype(np.float64)
     ref_qs = []
     for i in (1, 2):
         lp = f"adapter.layer{i:02d}."
-        tok = adapter[lp + "A"].data.astype(np.float64) @ \
-            adapter[lp + "B"].data.astype(np.float64)
+        tok = p[lp + "A"] @ p[lp + "B"]
         logits = ref_f @ tok.T / math.sqrt(cfg.c)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         s = e / e.sum(axis=1, keepdims=True)
@@ -400,8 +394,7 @@ def test_full_chain_matches_procedure_transcription():
     q_cat = np.concatenate(
         [np.maximum(ref_qs[0], ref_qs[1]), (ref_qs[0] + ref_qs[1]) / 2, ref_qs[1]],
         axis=1)
-    ref_q = q_cat @ adapter["adapter.final.W_Q_cat"].data.astype(np.float64) + \
-        adapter["adapter.final.b_Q_cat"].data
+    ref_q = q_cat @ p["adapter.final.W_Q_cat"] + p["adapter.final.b_Q_cat"]
     np.testing.assert_allclose(got_f, ref_f, atol=1e-5)
     np.testing.assert_allclose(got_q, ref_q, atol=1e-5)
 
@@ -421,31 +414,20 @@ def test_row_mass_bound():
 
 def test_share_gradient_equals_sum_of_untied():
     with T.using_dtype(np.float64):
-        shared = A.init_parameters(cfg_toy(depth=3), seed=31)
-        untied = A.init_parameters(cfg_toy(depth=3, use_share=False), seed=32)
-        rngw = np.random.default_rng(33)
-        w_f_val = rngw.standard_normal((8, 8)) * 0.2
-        shared["adapter.shared.W_f"].data[:] = w_f_val
-        for i in (1, 2, 3):
-            lp = f"adapter.layer{i:02d}."
-            for nm in ("A", "B"):
-                untied[lp + nm].data[:] = shared[lp + nm].data
-            for kind in ("T", "f", "Q"):
-                untied[lp + f"W_{kind}"].data[:] = shared[f"adapter.shared.W_{kind}"].data
-                untied[lp + f"b_{kind}"].data[:] = shared[f"adapter.shared.b_{kind}"].data
-
+        shared = make(cfg_toy(depth=3), seed=31)
+        shared.params["adapter.shared.W_f"].data[:] = \
+            np.random.default_rng(33).standard_normal((8, 8)) * 0.2
+        untied = untie(shared)
         f0 = np.random.default_rng(34).standard_normal((5, 8))
 
-        def run(params):
+        def run(adapter):
             f = Tensor(f0)
             with Tape() as tape:
                 for i in (1, 2, 3):
-                    d, _ = A.rein_refine(i, f, params)
-                    f = T.add(f, d)
+                    f = T.add(f, adapter(i, f))
                 tape.backward(T.sum_all(f))
 
         run(shared)
         run(untied)
-        total = sum(untied[f"adapter.layer{i:02d}.W_T"].grad for i in (1, 2, 3))
-        assert T.relative_error(shared["adapter.shared.W_T"].grad, total) <= 1e-4
-
+        total = sum(untied.params[f"adapter.layer{i:02d}.W_T"].grad for i in (1, 2, 3))
+        assert T.relative_error(shared.params["adapter.shared.W_T"].grad, total) <= 1e-4

@@ -3,21 +3,23 @@ rename must fail here, not only when the benchmark runs."""
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-TARGETS = _targets()
+TARGETS = _load("tracing").TARGETS
 
 
 @pytest.mark.parametrize("span,module,attr", TARGETS, ids=[t[0] for t in TARGETS])
@@ -35,3 +37,14 @@ def test_pretrain_memo_can_be_cleared():
     from reinlab import pretrain
 
     assert callable(pretrain._cached.cache_clear)
+
+
+@pytest.mark.parametrize("mode", ["full", "freeze", "rein"])
+def test_reference_counts_the_trainable_parameters(mode):
+    # the benchmark's independent count reads the stored config, so a field
+    # it needs must survive ``to_dict``
+    from reinlab.train import build_model, desk_config
+
+    cfg = replace(desk_config(mode=mode), pretrain=None)
+    want = _load("reference").trainable_params(cfg.to_dict())
+    assert build_model(cfg).n_trainable() == want

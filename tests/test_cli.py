@@ -118,6 +118,23 @@ def test_train_eval_swap_cycle(tmp_path, capsys):
     assert swapped.exists()
 
 
+def test_eval_out_writes_report_and_snapshot(tiny_benchmark, tmp_path, capsys):
+    from reinlab.train import train
+
+    ckpt, _ = train(tiny_train_config(tiny_benchmark, iterations=2))
+    ckpt.save(tmp_path / "run.ckpt")
+    out = tmp_path / "report"
+    assert main(["eval", "--ckpt", str(tmp_path / "run.ckpt"), "--data",
+                 str(tiny_benchmark), "--split", "val", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    report = json.loads((out / "eval_val.json").read_text())
+    assert printed == f"mIoU (val, 3 images): {report['miou']:.4f}"
+    assert report["n_images"] == 3 and len(report["per_class"]) == 6
+    snapshot = json.loads((out / "resolved_config.json").read_text())
+    assert snapshot == {"command": "eval", "ckpt": str(tmp_path / "run.ckpt"),
+                        "split": "val"}
+
+
 def test_eval_missing_checkpoint_is_runtime_error(tmp_path, capsys):
     code = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"), "--data",
                  str(tmp_path)])

@@ -166,6 +166,11 @@ def test_scene_without_two_classes_raises():
         D.generate_scene(0, spec, 6, 8, 8)
 
 
+def test_scenes_need_one_spec_per_seed():
+    with pytest.raises(ConfigError, match="2 seeds but 1 domain specs"):
+        D.generate_scenes([0, 1], [D.default_source_spec(6)], 6, 16, 16)
+
+
 def test_hue_rotation_preserves_gray():
     m = D.hue_rotation_matrix(77.0)
     np.testing.assert_allclose(m @ np.ones(3), np.ones(3), atol=1e-12)
@@ -222,3 +227,22 @@ def test_benchmark_manifest_and_reproducibility(tmp_path):
 def test_missing_manifest(tmp_path):
     with pytest.raises(ParseError):
         D.read_manifest(tmp_path)
+
+
+def test_bad_manifest_json_raises_parse_error(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"k": 6,')
+    with pytest.raises(ParseError, match="bad manifest") as err:
+        D.read_manifest(tmp_path)
+    assert err.value.offset == 8
+
+
+def test_missing_label_file_raises_parse_error(tmp_path):
+    D.write_dataset(tmp_path, [D.generate_scene(0, D.default_source_spec(6), 6, 16, 16)])
+    (tmp_path / "00000.pgm").unlink()
+    with pytest.raises(ParseError, match="missing label"):
+        D.read_dataset(tmp_path)
+
+
+def test_load_split_rejects_unknown_split(tmp_path):
+    with pytest.raises(ConfigError, match="unknown split"):
+        D.load_split(tmp_path, "dev")

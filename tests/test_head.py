@@ -161,7 +161,7 @@ def test_batched_decode_matches_per_image_reference_bytes():
     weights = Tensor(rng.standard_normal((bsz * hw, k)).astype(np.float32))
 
     with Tape() as tape:
-        rows, _, _, coarse = head.decode_rows(tapped, batch_size=bsz)
+        rows, _, _, coarse = head.decode_rows(tapped)
         tape.backward(T.sum_all(T.mul(rows, weights)))
     got_grads = {name: head.params[name].grad for name in ("head.W_pix", "head.W_cls")}
     want = np.concatenate([(coarse.data[:, b * n:(b + 1) * n] @ upsample).T
@@ -172,7 +172,7 @@ def test_batched_decode_matches_per_image_reference_bytes():
     for t in head.params.values():
         t.grad = None
     with Tape() as tape:
-        _, _, _, coarse = head.decode_rows(tapped, batch_size=bsz)
+        _, _, _, coarse = head.decode_rows(tapped)
         up = Tensor(upsample)
         ref_rows = T.concat(
             [T.transpose(T.matmul(T.col_slice(coarse, b * n, (b + 1) * n), up))
@@ -187,10 +187,16 @@ def test_decode_tape_records_independent_of_batch_size():
     counts = []
     for bsz in (1, 8):
         with Tape() as tape:
-            head.decode_rows(rand_taps(np.random.default_rng(33), n=bsz * 4),
-                             batch_size=bsz)
+            head.decode_rows(rand_taps(np.random.default_rng(33), n=bsz * 4))
         counts.append(len(tape))
     assert counts[0] == counts[1]
+
+
+def test_decode_rejects_rows_of_partial_images():
+    # the image count is rows / patches per image, so 6 rows of 4-patch
+    # images are refused
+    with pytest.raises(ShapeError):
+        make_head().decode_rows(rand_taps(np.random.default_rng(35), n=6))
 
 
 def test_missing_query_rejected_when_not_owned():

@@ -1,5 +1,7 @@
 """Harness: optimizer math, mode partitions, checkpoints, swapping, runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from reinlab import tensor as T
 from reinlab.checkpoint import Checkpoint, swap_adapter
 from reinlab.errors import (ConfigError, ContractError, NumericError,
                             ParseError, ShapeError)
-from reinlab.model import TRAINED
+from reinlab.model import TRAINED, SegModel
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
 from reinlab.train import (PROBE_TRAINED, TrainConfig, build_model, evaluate,
@@ -81,6 +83,27 @@ def test_rein_mode_gradient_partition(tiny_benchmark, mode, phase):
     assert want
     assert {n for n, t, _ in model.named_tensors() if t.requires_grad} == want
     assert {n for n, t, _ in model.named_tensors() if t.grad is not None} == want
+
+
+def test_segmodel_rejects_inconsistent_configs():
+    cfg = tiny_train_config("")
+    vit, head, rein = cfg.vit, cfg.head, cfg.rein
+    with pytest.raises(ConfigError, match="unknown mode"):
+        SegModel(vit, head, "adapt", rein_cfg=rein)
+    with pytest.raises(ConfigError, match="requires a ReinConfig"):
+        SegModel(vit, head, "rein")
+    for wrong in (replace(rein, c=16), replace(rein, depth=3)):
+        with pytest.raises(ConfigError, match="do not match"):
+            SegModel(vit, head, "rein", rein_cfg=wrong)
+    with pytest.raises(ConfigError, match="num_queries"):
+        SegModel(vit, replace(head, num_queries=4), "rein", rein_cfg=rein)
+
+
+def test_batch_loss_rejects_mismatched_batch_sizes():
+    model = build_model(tiny_train_config(""))
+    with pytest.raises(ContractError, match="batch size mismatch"):
+        model.batch_loss(np.zeros((2, 3, 32, 32), dtype=np.float32),
+                         np.zeros((3, 32, 32), dtype=np.int64))
 
 
 def test_frozen_backbone_bytes_after_100_steps(tiny_benchmark):

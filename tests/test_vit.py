@@ -165,5 +165,17 @@ def test_layer_forward_adds_twelve_tape_records():
     with T.Tape() as tape:
         f = bb.embed(imgs)
         before = len(tape)
-        bb.layer_forward(1, f, batch_size=2)
+        bb.layer_forward(1, f)
         assert len(tape) - before == 12
+
+
+def test_layer_forward_counts_images_from_rows():
+    # each image attends within its own patches; a single attention over the
+    # rows of both images would mix them
+    bb = ViTBackbone(toy_cfg(image_size=16, depth=1), np.random.default_rng(0))
+    imgs = np.concatenate([rand_image(np.random.default_rng(s), 16) for s in (1, 2)])
+    both = bb.layer_forward(1, bb.embed(imgs)).data
+    each = [bb.layer_forward(1, bb.embed(imgs[j:j + 1])).data for j in (0, 1)]
+    np.testing.assert_allclose(both, np.concatenate(each), atol=1e-6)
+    with pytest.raises(ShapeError):
+        bb.layer_forward(1, Tensor(np.zeros((6, 16), dtype=np.float32)))
