@@ -151,8 +151,8 @@ class ReinAdapter:
             self._queries = []
         tokens = self.tokens(i)
         sim = similarity_map(f, tokens, cfg.c)
-        folded = T.linear(T.row_slice(tokens, 1, cfg.m), *self.mlp("T", i))
-        dbar = T.matmul(T.col_slice(sim, 1, cfg.m), folded)
+        folded = T.linear(T.narrow(tokens, 0, 1, cfg.m), *self.mlp("T", i))
+        dbar = T.matmul(T.narrow(sim, 1, 1, cfg.m), folded)
         delta = T.linear(T.add(dbar, f), *self.mlp("f", i))
         if cfg.use_link:
             self._queries.append(T.linear(tokens, *self.mlp("Q", i)))

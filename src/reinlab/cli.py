@@ -121,7 +121,7 @@ def _cmd_train(args):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = TrainConfig.from_dict(json.load(fh))
     else:
-        cfg = desk_config(variant=args.variant or "rein-lora")
+        cfg = desk_config()
     # replace() runs TrainConfig's checks on the final field values
     flags = {"data_root": args.data, "mode": args.mode,
              "iterations": args.iterations, "seed": args.seed}

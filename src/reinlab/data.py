@@ -334,16 +334,14 @@ def read_dataset(directory):
 SPLITS = ("train", "val", "test")
 
 
-def generate_benchmark(root, k=6, size=64, counts=(200, 50, 50), seed=0,
-                       source=None, target=None):
+def generate_benchmark(root, k=6, size=64, counts=(200, 50, 50), seed=0):
     """Write the source-train / source-val / target-test benchmark.
 
     Returns the manifest dict (also stored as ``manifest.json``).
     """
     root = Path(root)
-    source = source or default_source_spec(k)
-    target = target or default_target_spec(k)
-    specs = {"train": source, "val": source, "test": target}
+    source = default_source_spec(k)
+    specs = {"train": source, "val": source, "test": default_target_spec(k)}
     manifest = {"k": k, "h": size, "w": size, "seed": seed, "splits": {}}
     for sidx, split in enumerate(SPLITS):
         n = counts[sidx]

@@ -1,9 +1,10 @@
 """Dense float tensors with tape-based reverse-mode automatic differentiation.
 
 Tensors wrap numpy arrays (float32 by default). Operations executed while a
-Tape is active append a record with the closures needed for the backward
-pass; replaying the tape in reverse computes vector-Jacobian products and
-accumulates them into ``.grad`` of every tensor that requires gradient.
+Tape is active record their output tensor, input tensors and backward
+closure; replaying the tape in reverse computes vector-Jacobian products in
+a map keyed by the tensors themselves and accumulates what reaches the
+leaves into ``.grad`` of every tensor that requires gradient.
 Gradients accumulate across backward calls; call ``zero_grad`` between
 optimizer steps.
 
@@ -13,7 +14,6 @@ verifying the analytic backward rules; it never touches the tape.
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import contextmanager
 
@@ -22,47 +22,41 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
-_NODE_IDS = itertools.count()
 _TAPE_STACK: list["Tape"] = []
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def set_default_dtype(dtype):
-    """Set the dtype used for newly created tensors (float32 or float64)."""
+@contextmanager
+def using_dtype(dtype):
+    """Temporarily switch the dtype of newly created tensors (float32 or
+    float64; used by verification suites)."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype).type
     if dtype not in (np.float32, np.float64):
         raise ContractError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype
-
-
-@contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default dtype (used by verification suites)."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 class Tensor:
-    """A dense n-dimensional float array with graph node identity.
+    """A dense n-dimensional float array, and its own graph node: tensors
+    hash by identity (no ``__eq__``), so the tape keys gradients by them.
 
     ``grad`` stays ``None`` until a backward pass deposits into it; tensors
     with ``requires_grad=False`` never accumulate gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=_DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.node_id = next(_NODE_IDS)
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
@@ -71,7 +65,6 @@ class Tensor:
         t.data = arr
         t.requires_grad = requires_grad
         t.grad = None
-        t.node_id = next(_NODE_IDS)
         return t
 
     @property
@@ -133,8 +126,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (out_node_id, inputs tuple, backward_fn)
-        self._tensors = {}  # node_id -> Tensor, for grad flushing
+        self._records = []  # (out, inputs tuple, backward_fn)
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -149,14 +141,12 @@ class Tape:
         return len(self._records)
 
     def record(self, inputs, out, backward_fn):
-        self._records.append((out.node_id, inputs, backward_fn))
-        for t in inputs:
-            if t.requires_grad:
-                self._tensors[t.node_id] = t
+        self._records.append((out, inputs, backward_fn))
 
     def backward(self, root):
         """Accumulate d(root)/d(leaf) into ``.grad`` of the requires_grad
-        leaves reachable from ``root``.
+        leaves reachable from ``root`` (``root`` itself when no record
+        produced it).
 
         Uses a fresh per-call gradient map so repeated calls add their
         contributions instead of compounding stale state. Stored arrays are
@@ -167,32 +157,25 @@ class Tape:
             raise ContractError(
                 f"backward root must be scalar, got shape {tuple(root.shape)}"
             )
-        grads = {root.node_id: np.ones_like(root.data)}
-        for out_id, inputs, backward_fn in reversed(self._records):
-            g = grads.pop(out_id, None)
+        grads = {root: np.ones_like(root.data)}
+        for out, inputs, backward_fn in reversed(self._records):
+            g = grads.pop(out, None)
             if g is None:
                 continue
             for t, gt in zip(inputs, backward_fn(g)):
                 if gt is None or not t.requires_grad:
                     continue
-                acc = grads.get(t.node_id)
-                grads[t.node_id] = gt if acc is None else acc + gt
+                acc = grads.get(t)
+                grads[t] = gt if acc is None else acc + gt
         # Entries that were never popped belong to tensors no record produced,
         # i.e. the leaves of this tape.
-        for node_id, g in grads.items():
-            t = self._tensors.get(node_id)
-            if t is not None:
-                t.accumulate_grad(g)
-
-
-def active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+        for t, g in grads.items():
+            t.accumulate_grad(g)
 
 
 def _record(inputs, out, backward_fn):
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(inputs, out, backward_fn)
+    if _TAPE_STACK and out.requires_grad:
+        _TAPE_STACK[-1].record(inputs, out, backward_fn)
     return out
 
 
@@ -343,35 +326,19 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _record((a,), out, backward)
 
 
-def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of rows [start, stop) of a 2-D tensor."""
-    if a.ndim != 2:
-        raise ShapeError(f"row_slice expects 2-D tensor, got {a.shape}")
-    if not (0 <= start < stop <= a.shape[0]):
-        raise ShapeError(f"row_slice [{start}:{stop}] outside {a.shape}")
-    out = Tensor._wrap(a.data[start:stop].copy(), a.requires_grad)
+def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Contiguous slice [start, stop) of ``a`` along ``axis``."""
+    if not 0 <= axis < a.ndim:
+        raise ShapeError(f"narrow: axis {axis} outside {a.shape}")
+    if not (0 <= start < stop <= a.shape[axis]):
+        raise ShapeError(f"narrow [{start}:{stop}] on axis {axis} outside {a.shape}")
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = Tensor._wrap(a.data[index].copy(), a.requires_grad)
     in_shape = a.data.shape
 
     def backward(g):
         full = np.zeros(in_shape, dtype=g.dtype)
-        full[start:stop] = g
-        return (full,)
-
-    return _record((a,), out, backward)
-
-
-def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of columns [start, stop) of a 2-D tensor."""
-    if a.ndim != 2:
-        raise ShapeError(f"col_slice expects 2-D tensor, got {a.shape}")
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ShapeError(f"col_slice [{start}:{stop}] outside {a.shape}")
-    out = Tensor._wrap(a.data[:, start:stop].copy(), a.requires_grad)
-    in_shape = a.data.shape
-
-    def backward(g):
-        full = np.zeros(in_shape, dtype=g.dtype)
-        full[:, start:stop] = g
+        full[index] = g
         return (full,)
 
     return _record((a,), out, backward)
@@ -590,19 +557,25 @@ def sigmoid(x: Tensor) -> Tensor:
 # reductions across tensor lists
 
 
+def _same_shape_list(tensors, op):
+    """``tensors`` as a non-empty list of one shape, or a typed error naming ``op``."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ContractError(f"{op} of empty tensor list")
+    shape = tensors[0].shape
+    for t in tensors:
+        if t.shape != shape:
+            raise ShapeError(f"{op}: shape {t.shape} != {shape}")
+    return tensors
+
+
 def stack_max(tensors) -> Tensor:
     """Per-position maximum across a list of same-shape tensors.
 
     Backward routes each position's gradient to the first tensor attaining
     the maximum (deterministic tie-break).
     """
-    tensors = list(tensors)
-    if not tensors:
-        raise ContractError("stack_max of empty tensor list")
-    shape = tensors[0].shape
-    for t in tensors:
-        if t.shape != shape:
-            raise ShapeError(f"stack_max: shape {t.shape} != {shape}")
+    tensors = _same_shape_list(tensors, "stack_max")
     stacked = np.stack([t.data for t in tensors], axis=0)
     idx = stacked.argmax(axis=0)
     out = Tensor._wrap(stacked.max(axis=0), any(t.requires_grad for t in tensors))
@@ -618,13 +591,7 @@ def stack_max(tensors) -> Tensor:
 
 def stack_mean(tensors) -> Tensor:
     """Per-position mean across a list of same-shape tensors."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ContractError("stack_mean of empty tensor list")
-    shape = tensors[0].shape
-    for t in tensors:
-        if t.shape != shape:
-            raise ShapeError(f"stack_mean: shape {t.shape} != {shape}")
+    tensors = _same_shape_list(tensors, "stack_mean")
     k = float(len(tensors))
     acc = tensors[0].data.copy()
     for t in tensors[1:]:

@@ -2,12 +2,18 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from reinlab.adapter import ReinConfig
 from reinlab.data import generate_benchmark
 from reinlab.head import HeadConfig
 from reinlab.train import TrainConfig
 from reinlab.vit import ViTConfig
+
+
+# deterministic example sequence, and no example database in the work tree
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
 
 
 @pytest.fixture(autouse=True)

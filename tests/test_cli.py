@@ -159,6 +159,21 @@ def test_backbone_seed_flag_trains_a_random_desk_backbone(tmp_path, monkeypatch,
     assert cfg["pretrain"] is None and cfg["backbone_seed"] == 3
 
 
+def test_variant_flag_sets_the_desk_adapter(tmp_path, capsys):
+    from dataclasses import asdict
+
+    from reinlab.train import desk_config
+
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--k", "6", "--size", "64",
+                 "--train", "2", "--val", "1", "--test", "1", "--seed", "1"]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--variant",
+                 "rein-core", "--iterations", "1", "--backbone-seed", "3"]) == 0
+    cfg = json.loads((out / "resolved_config.json").read_text())["config"]
+    assert cfg["rein"] == asdict(desk_config(variant="rein-core").rein)
+
+
 def test_train_validates_flags_before_writing(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen-data", "--out", str(data), "--k", "6", "--size", "64",

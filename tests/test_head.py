@@ -168,14 +168,14 @@ def test_batched_decode_matches_per_image_reference_bytes():
                            for b in range(bsz)])
     np.testing.assert_array_equal(rows.data, want)
 
-    # the same loss through one col_slice -> matmul -> transpose per image
+    # the same loss through one narrow -> matmul -> transpose per image
     for t in head.params.values():
         t.grad = None
     with Tape() as tape:
         _, _, _, coarse = head.decode_rows(tapped)
         up = Tensor(upsample)
         ref_rows = T.concat(
-            [T.transpose(T.matmul(T.col_slice(coarse, b * n, (b + 1) * n), up))
+            [T.transpose(T.matmul(T.narrow(coarse, 1, b * n, (b + 1) * n), up))
              for b in range(bsz)], axis=0)
         tape.backward(T.sum_all(T.mul(ref_rows, weights)))
     for name, grad in got_grads.items():

@@ -7,16 +7,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import PROPERTY
 from reinlab.checkpoint import MAGIC, VERSION, Checkpoint
 from reinlab.data import decode_pgm, decode_ppm, write_pgm, write_ppm
 from reinlab.errors import ContractError, ParseError
-
-# deterministic example sequence, and no example database in the work tree
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
-                    database=None)
 
 
 def _checkpoint_bytes():

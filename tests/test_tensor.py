@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import PROPERTY
 from reinlab import tensor as T
 from reinlab.errors import ContractError, NumericError, ShapeError
 from reinlab.tensor import Tape, Tensor
@@ -141,6 +145,13 @@ def test_backward_sum_gives_ones():
     with Tape() as tape:
         tape.backward(T.sum_all(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
+
+
+def test_backward_from_scalar_leaf_root():
+    x = leaf([2.0])
+    with Tape() as tape:
+        tape.backward(x)
+    np.testing.assert_array_equal(x.grad, [1.0])
 
 
 def test_backward_square():
@@ -318,12 +329,12 @@ OP_CASES = {
         lambda a, w: T.sum_all(T.mul(T.sigmoid(a), w)),
         [_rand(rng, (3, 5)), _rand(rng, (3, 5))],
     ),
-    "row_slice": lambda rng: (
-        lambda a: T.sum_all(T.mul(T.row_slice(a, 1, 4), T.row_slice(a, 1, 4))),
+    "narrow_rows": lambda rng: (
+        lambda a: T.sum_all(T.mul(T.narrow(a, 0, 1, 4), T.narrow(a, 0, 1, 4))),
         [_rand(rng, (5, 3))],
     ),
-    "col_slice": lambda rng: (
-        lambda a: T.sum_all(T.mul(T.col_slice(a, 2, 5), T.col_slice(a, 2, 5))),
+    "narrow_cols": lambda rng: (
+        lambda a: T.sum_all(T.mul(T.narrow(a, 1, 2, 5), T.narrow(a, 1, 2, 5))),
         [_rand(rng, (3, 6))],
     ),
     "concat": lambda rng: (
@@ -372,6 +383,39 @@ def test_op_gradients_match_fd(op_name):
             rng = np.random.default_rng(seed)
             build, leaves = OP_CASES[op_name](rng)
             fd_check(build, leaves)
+
+
+# Property versions of the cases above: random broadcast shapes for add and
+# mul, random axes and ranges for narrow. Each loss weights the op's output by
+# a fixed random tensor, so every output entry reaches the gradient.
+VJP_PROPERTY = settings(PROPERTY, max_examples=120)
+
+
+def _weighted_fd_check(op, shapes, out_shape, seed):
+    rng = np.random.default_rng(seed)
+    with T.using_dtype(np.float64):
+        leaves = [_rand(rng, sh) for sh in shapes]
+        w = leaf(rng.uniform(-1, 1, out_shape), rg=False)
+        fd_check(lambda *xs: T.sum_all(T.mul(op(*xs), w)), leaves)
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul], ids=["add", "mul"])
+@VJP_PROPERTY
+@given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+       seed=st.integers(0, 2**16))
+def test_broadcast_vjp_matches_fd_property(op, shapes, seed):
+    _weighted_fd_check(op, shapes.input_shapes, shapes.result_shape, seed)
+
+
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(max_dims=3, max_side=4), data=st.data())
+def test_narrow_vjp_matches_fd_property(shape, data):
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    start = data.draw(st.integers(0, shape[axis] - 1))
+    stop = data.draw(st.integers(start + 1, shape[axis]))
+    out_shape = shape[:axis] + (stop - start,) + shape[axis + 1:]
+    _weighted_fd_check(lambda a: T.narrow(a, axis, start, stop), [shape], out_shape,
+                       data.draw(st.integers(0, 2**16)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +557,22 @@ def test_attention_nonfinite_logits_rejected():
 
 def test_slice_errors():
     with pytest.raises(ShapeError):
-        T.row_slice(leaf(np.zeros((2, 2))), 0, 3)
+        T.narrow(leaf(np.zeros((2, 2))), 0, 0, 3)
     with pytest.raises(ShapeError):
-        T.col_slice(leaf(np.zeros((2, 2))), 2, 2)
+        T.narrow(leaf(np.zeros((2, 2))), 1, 2, 2)
+    with pytest.raises(ShapeError):
+        T.narrow(leaf(np.zeros((2, 2))), 2, 0, 1)
 
 
 def test_default_dtype_float32():
     assert Tensor([1.0]).data.dtype == np.float32
     with T.using_dtype(np.float64):
         assert Tensor([1.0]).data.dtype == np.float64
+    assert Tensor([1.0]).data.dtype == np.float32
+    with pytest.raises(ContractError):
+        with T.using_dtype(np.int32):
+            pass
+    with pytest.raises(NumericError):
+        with T.using_dtype(np.float64):
+            raise NumericError("restores the dtype on the way out")
     assert Tensor([1.0]).data.dtype == np.float32
