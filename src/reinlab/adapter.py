@@ -118,15 +118,15 @@ class ReinAdapter:
     ``adapter.final.*``; every tensor starts trainable, and
     ``SegModel.set_trained`` narrows the set.
 
-    Calling the adapter as ``hook(i, f_i)`` returns the layer's feature
-    delta and stashes its query set; ``aggregate_query()`` fuses the stash
-    once the forward pass has visited every layer.
+    The adapter holds no state of a forward pass: ``adapter(i, f_i, T_i)``
+    returns layer i's feature delta from the tokens it is given, and
+    ``aggregate_query([T_1, ..., T_N])`` fuses the query sets of the same
+    tokens, so a caller that computes each T_i once feeds both.
     """
 
     def __init__(self, cfg: ReinConfig, rng):
         self.cfg = cfg
         self.params = T.parameters(param_shapes(cfg), rng)
-        self._queries = []
 
     def named_tensors(self):
         return list(self.params.items())
@@ -143,29 +143,22 @@ class ReinAdapter:
             return self.params[lp + "T"]
         return T.matmul(self.params[lp + "A"], self.params[lp + "B"])
 
-    def __call__(self, i: int, f: Tensor) -> Tensor:
-        """Feature delta d_i of layer ``i``; stashes Q_i = T_i W_Q + b_Q after
-        it when queries are linked."""
+    def __call__(self, i: int, f: Tensor, tokens: Tensor) -> Tensor:
+        """Feature delta d_i of layer ``i`` from its tokens T_i."""
         cfg = self.cfg
-        if i == 1:
-            self._queries = []
-        tokens = self.tokens(i)
         sim = similarity_map(f, tokens, cfg.c)
         folded = T.linear(T.narrow(tokens, 0, 1, cfg.m), *self.mlp("T", i))
         dbar = T.matmul(T.narrow(sim, 1, 1, cfg.m), folded)
-        delta = T.linear(T.add(dbar, f), *self.mlp("f", i))
-        if cfg.use_link:
-            self._queries.append(T.linear(tokens, *self.mlp("Q", i)))
-        return delta
+        return T.linear(T.add(dbar, f), *self.mlp("f", i))
 
-    def aggregate_query(self) -> Tensor:
-        """Fuse the stashed layer queries: concat([max_i Q_i, mean_i Q_i,
-        Q_N]) W + b."""
+    def aggregate_query(self, tokens: list) -> Tensor:
+        """Fuse the layer queries Q_i = T_i W_Q + b_Q of ``tokens``
+        [T_1, ..., T_N]: concat([max_i Q_i, mean_i Q_i, Q_N]) W + b."""
         if not self.cfg.use_link:
             raise ContractError("aggregate_query requires the link variant")
-        qs = self._queries
-        if len(qs) != self.cfg.depth:
-            raise ContractError(f"saw {len(qs)} layer queries, expected {self.cfg.depth}")
+        if len(tokens) != self.cfg.depth:
+            raise ContractError(f"got {len(tokens)} token sets, expected {self.cfg.depth}")
+        qs = [T.linear(t, *self.mlp("Q", i)) for i, t in enumerate(tokens, 1)]
         fused = T.concat([T.stack_max(qs), T.stack_mean(qs), qs[-1]], axis=-1)
         return T.linear(fused, self.params["adapter.final.W_Q_cat"],
                         self.params["adapter.final.b_Q_cat"])

@@ -358,14 +358,23 @@ def generate_benchmark(root, k=6, size=64, counts=(200, 50, 50), seed=0):
 
 
 def read_manifest(root):
+    """The dataset's manifest; ParseError unless it is an object whose
+    ``k``, ``h`` and ``w`` are positive ints."""
     path = Path(root) / "manifest.json"
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except FileNotFoundError:
         raise ParseError(path, 0, "manifest.json not found") from None
     except json.JSONDecodeError as e:
         raise ParseError(path, e.pos, f"bad manifest: {e.msg}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(path, 0, "manifest is not an object")
+    for key in ("k", "h", "w"):
+        if type(manifest.get(key)) is not int or manifest[key] < 1:
+            raise ParseError(path, 0, f"manifest {key!r} must be a positive int, "
+                             f"got {manifest.get(key)!r}")
+    return manifest
 
 
 def load_split(root, split):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 
@@ -98,7 +98,6 @@ class SegHead:
         self.cfg = cfg
         self.grid_hw = tuple(grid_hw)
         self.out_hw = tuple(out_hw)
-        self.owns_queries = bool(owns_queries)
         self.n_patches = grid_hw[0] * grid_hw[1]
         self.params = T.parameters(
             param_shapes(cfg, n_taps, feat_dim, query_dim, owns_queries), rng)
@@ -112,11 +111,13 @@ class SegHead:
         fused_feats = T.concat(list(tapped), axis=-1)
         return T.linear(fused_feats, self.params["head.W_pix"], self.params["head.b_pix"])
 
-    def decode_rows(self, tapped, query=None):
+    def decode_rows(self, tapped, query):
         """Batch decode; returns (pixel_rows [B*H*W, K], class_logits,
         mask_logits, coarse [K, B*n]).
 
-        ``tapped`` holds [B*n, c] tensors; pixel rows come back image-major
+        ``tapped`` holds [B*n, c] tensors and ``query`` is the [q, c'] query
+        set, the head's own ``head.queries`` or the adapter's fusion, which
+        ``SegModel.forward_rows`` picks; pixel rows come back image-major
         then row-major within each image, as a transposed view of class-major
         [K, B*H*W] memory.
         """
@@ -125,10 +126,6 @@ class SegHead:
         if pix.shape[0] % self.n_patches:
             raise ShapeError(f"{pix.shape[0]} feature rows do not split into "
                              f"images of {self.n_patches} patches")
-        if query is None:
-            if not self.owns_queries:
-                raise ContractError("query-based head expects an external query set")
-            query = p["head.queries"]
         qd = T.linear(query, p["head.W_qd"], p["head.b_qd"])
         mask_logits = T.matmul(qd, T.transpose(pix))          # [q, B*n]
         class_logits = T.linear(query, p["head.W_cls"], p["head.b_cls"])

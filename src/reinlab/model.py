@@ -49,10 +49,8 @@ class SegModel:
                     f"adapter dims (c={rein_cfg.c}, depth={rein_cfg.depth}) do not "
                     f"match backbone (dim={vit_cfg.dim}, depth={vit_cfg.depth})")
         self.vit_cfg = vit_cfg
-        self.head_cfg = head_cfg
-        self.rein_cfg = rein_cfg if mode == "rein" else None
         self.mode = mode
-        self.seed = int(seed)
+        seed = int(seed)
         self.backbone_seed = int(backbone_seed if backbone_seed is not None else seed)
 
         self.backbone = ViTBackbone(
@@ -61,7 +59,7 @@ class SegModel:
         linked = False
         if mode == "rein":
             self.adapter = ReinAdapter(
-                rein_cfg, np.random.default_rng((self.seed, _STREAM_ADAPTER)))
+                rein_cfg, np.random.default_rng((seed, _STREAM_ADAPTER)))
             linked = rein_cfg.use_link
         query_dim = rein_cfg.c_prime if rein_cfg is not None else 16
         if linked and head_cfg.num_queries != rein_cfg.m:
@@ -72,7 +70,7 @@ class SegModel:
         out = (vit_cfg.image_size, vit_cfg.image_size)
         self.head = SegHead(
             head_cfg, len(vit_cfg.tap_layers), vit_cfg.dim, query_dim,
-            grid, out, np.random.default_rng((self.seed, _STREAM_HEAD)),
+            grid, out, np.random.default_rng((seed, _STREAM_HEAD)),
             owns_queries=not linked)
         self.set_trained(TRAINED[mode])
 
@@ -106,11 +104,21 @@ class SegModel:
     # -- forward -------------------------------------------------------------
 
     def forward_rows(self, images: np.ndarray):
-        """Decode a [B,3,H,W] batch to per-pixel logit rows [B*H*W, K]."""
-        tapped, _ = self.backbone.forward(images, hook=self.adapter)
-        query = None
-        if self.adapter is not None and self.adapter.cfg.use_link:
-            query = self.adapter.aggregate_query()
+        """Decode a [B,3,H,W] batch to per-pixel logit rows [B*H*W, K]. In
+        rein mode each T_i is computed once; it refines layer i and, when
+        linked, feeds the query fusion that replaces ``head.queries``."""
+        adapter, hook = self.adapter, None
+        if adapter is not None:
+            tokens = [adapter.tokens(i) for i in range(1, self.vit_cfg.depth + 1)]
+
+            def hook(i, f):
+                return adapter(i, f, tokens[i - 1])
+
+        tapped = self.backbone.forward(images, hook=hook)
+        if adapter is not None and adapter.cfg.use_link:
+            query = adapter.aggregate_query(tokens)
+        else:
+            query = self.head.params["head.queries"]
         rows, _, _, _ = self.head.decode_rows(tapped, query)
         return rows
 

@@ -136,7 +136,7 @@ def pretrain_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
                                0.0, images).astype(images.dtype)
             weight = masked.reshape(-1, 1) / float(masked.sum() * pdim)
             with Tape() as tape:
-                _, feats = backbone.forward(visible)
+                feats = backbone.forward(visible)[-1]
                 pred = T.linear(feats, decoder["decoder.W"], decoder["decoder.b"])
                 err = T.add(pred, Tensor(-target))
                 loss = T.sum_all(T.mul(T.mul(err, err), Tensor(weight)))

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -73,16 +73,34 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["vit"] = ViTConfig(**d["vit"])
-        d["head"] = HeadConfig(**d["head"])
-        d["rein"] = ReinConfig(**d["rein"]) if d.get("rein") else None
-        d["pretrain"] = PretrainConfig(**d["pretrain"]) if d.get("pretrain") else None
+        """Inverse of ``to_dict``; an unknown or missing key, or a section
+        that is not an object, raises ConfigError naming it."""
+        d = _fields_of(cls, d, "config")
+        d["vit"] = ViTConfig(**_fields_of(ViTConfig, d["vit"], "vit"))
+        d["head"] = HeadConfig(**_fields_of(HeadConfig, d["head"], "head"))
+        for key, kind in (("rein", ReinConfig), ("pretrain", PretrainConfig)):
+            d[key] = kind(**_fields_of(kind, d[key], key)) if d.get(key) else None
         return cls(**d)
 
     def config_hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _fields_of(kind, d, where):
+    """A copy of ``d`` checked to hold every required field of the dataclass
+    ``kind`` and no other key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+    known = {f.name: f.default is MISSING and f.default_factory is MISSING
+             for f in fields(kind)}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    for key, required in known.items():
+        if required and key not in d:
+            raise ConfigError(f"{where}: missing field {key!r}")
+    return dict(d)
 
 
 def desk_config(data_root="", mode="rein", variant="rein-lora", seed=0,
@@ -122,11 +140,9 @@ def build_model(cfg: TrainConfig) -> SegModel:
 def model_from_meta(meta: dict) -> SegModel:
     """Architecture from checkpoint metadata; the checkpoint's own tensors
     are loaded next, so the pretraining recipe does not run."""
-    try:
-        cfg = TrainConfig.from_dict(meta["config"])
-    except KeyError:
-        raise ConfigError("checkpoint metadata carries no model config") from None
-    return build_model(replace(cfg, pretrain=None))
+    if "config" not in meta:
+        raise ConfigError("checkpoint metadata carries no model config")
+    return build_model(replace(TrainConfig.from_dict(meta["config"]), pretrain=None))
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +219,10 @@ def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport
 def evaluate(ckpt: Checkpoint, data_root, split="test", batch=8) -> EvalReport:
     """Evaluate a checkpoint on one split of a stored benchmark."""
     manifest = read_manifest(data_root)
-    cfg_k = ckpt.meta.get("config", {}).get("head", {}).get("num_classes")
-    if cfg_k is not None and cfg_k != manifest["k"]:
-        raise ConfigError(
-            f"checkpoint has {cfg_k} classes but dataset has {manifest['k']}")
     model = model_from_meta(ckpt.meta)
+    if model.head.cfg.num_classes != manifest["k"]:
+        raise ConfigError(f"checkpoint has {model.head.cfg.num_classes} classes "
+                          f"but dataset has {manifest['k']}")
     ckpt.load_into(model)
     samples = load_split(data_root, split)
     return evaluate_model(model, samples, manifest["k"], batch=batch)

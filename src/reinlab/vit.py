@@ -159,14 +159,15 @@ class ViTBackbone:
         x = T.linear(x, p[lp + "mlp.W2"], p[lp + "mlp.b2"])
         return T.add(f, x)
 
-    def forward(self, images: np.ndarray, hook=None):
-        """Run the encoder; returns (tapped refined features, final features).
+    def forward(self, images: np.ndarray, hook=None) -> list:
+        """Run the encoder; returns the refined features of the tap layers,
+        which end at the last layer.
 
         ``hook(i, f_i) -> delta_i`` runs after every layer; the refined
         ``f_i + delta_i`` feeds layer i+1 and is what tap layers expose.
         """
         f = self.embed(images)
-        taps = {}
+        taps = []
         for i in range(1, self.cfg.depth + 1):
             f = self.layer_forward(i, f)
             if hook is not None:
@@ -177,5 +178,5 @@ class ViTBackbone:
                     )
                 f = T.add(f, delta)
             if i in self.cfg.tap_layers:
-                taps[i] = f
-        return [taps[i] for i in self.cfg.tap_layers], f
+                taps.append(f)
+        return taps

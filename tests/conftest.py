@@ -52,6 +52,25 @@ def tiny_train_config(data_root, mode="rein", variant="rein-lora", **overrides):
     return TrainConfig(**base)
 
 
+def _without(section, key):
+    return {k: v for k, v in section.items() if k != key}
+
+
+# (id, malformed form of a ``TrainConfig.to_dict`` dict, text the
+# ConfigError must contain): an unknown key, a missing key and a section
+# that is not an object, at the top level and inside a section
+BAD_CONFIGS = [
+    ("unknown-key", lambda d: {**d, "iteration": 5}, "config: unknown field 'iteration'"),
+    ("unknown-vit-key", lambda d: {**d, "vit": {**_without(d["vit"], "depth"), "depht": 4}},
+     "vit: unknown field 'depht'"),
+    ("missing-key", lambda d: _without(d, "head"), "config: missing field 'head'"),
+    ("missing-rein-key", lambda d: {**d, "rein": _without(d["rein"], "c")},
+     "rein: missing field 'c'"),
+    ("section-not-object", lambda d: {**d, "vit": [1]}, "vit: expected an object"),
+    ("not-an-object", lambda d: [1], "config: expected an object"),
+]
+
+
 # What the acceptance tests print, gathered from their captured output so
 # that a run without ``-s`` still shows one line per criterion.
 _ACCEPTANCE_LINES = []

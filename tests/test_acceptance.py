@@ -125,12 +125,18 @@ def test_identity_at_init():
     head = HeadConfig(num_classes=6, embed_dim=16, num_queries=6)
     rein_model = SegModel(vit, head, "rein", rein_cfg=rein, seed=11)
     freeze_model = SegModel(vit, head, "freeze", rein_cfg=rein, seed=11)
+    adapter = rein_model.adapter
+    tokens = [adapter.tokens(i) for i in (1, 2)]
+
+    def hook(i, f):
+        return adapter(i, f, tokens[i - 1])
+
     rng = np.random.default_rng(123)
     ok = True
     for _ in range(20):
         img = rng.uniform(0, 1, (1, 3, 32, 32)).astype(np.float32)
-        taps_r = rein_model.backbone.forward(img, hook=rein_model.adapter)[0]
-        taps_f = freeze_model.backbone.forward(img, hook=freeze_model.adapter)[0]
+        taps_r = rein_model.backbone.forward(img, hook=hook)
+        taps_f = freeze_model.backbone.forward(img)
         for tr, tf in zip(taps_r, taps_f):
             ok &= tr.data.tobytes() == tf.data.tobytes()
         pr = rein_model.forward_rows(img).data.tobytes()

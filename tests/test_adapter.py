@@ -22,6 +22,11 @@ def make(cfg, seed=0):
     return A.ReinAdapter(cfg, np.random.default_rng(seed))
 
 
+def all_tokens(adapter):
+    """[T_1, ..., T_N], the list ``aggregate_query`` fuses."""
+    return [adapter.tokens(i) for i in range(1, adapter.cfg.depth + 1)]
+
+
 def elimination_rank(mat, tol=1e-4):
     """Numerical rank by Gaussian elimination with partial pivoting.
 
@@ -172,7 +177,7 @@ def core_refine(f, tokens, w_t, b_t, w_f, b_f):
                         ("W_f", w_f), ("b_f", b_f)):
         adapter.params[f"adapter.layer01.{name}"].data[:] = value
     f = Tensor(f)
-    return adapter(1, f).data, f.data
+    return adapter(1, f, adapter.tokens(1)).data, f.data
 
 
 def token_mix(f, tokens, w_t, b_t):
@@ -242,12 +247,9 @@ def test_layer_query_matches_matmul_oracle():
     rng = np.random.default_rng(11)
     p["adapter.layer02.b_Q"].data[:] = rng.standard_normal(4)
     p["adapter.final.W_Q_cat"].data[:] = np.vstack([np.zeros((8, 4)), np.eye(4)])
-    f = Tensor(rng.standard_normal((5, 8)))
-    for i in (1, 2):
-        adapter(i, f)
     want = p["adapter.layer02.T"].data.astype(np.float64) @ p["adapter.layer02.W_Q"].data \
         + p["adapter.layer02.b_Q"].data
-    assert np.max(np.abs(adapter.aggregate_query().data - want)) <= 1e-6
+    assert np.max(np.abs(adapter.aggregate_query(all_tokens(adapter)).data - want)) <= 1e-6
 
 
 def test_aggregate_single_layer_collapse():
@@ -256,13 +258,13 @@ def test_aggregate_single_layer_collapse():
     rng = np.random.default_rng(12)
     for name in ("adapter.shared.b_Q", "adapter.final.b_Q_cat"):
         adapter.params[name].data[:] = rng.standard_normal(4)
-    adapter(1, Tensor(rng.standard_normal((5, 8))))
     p = {n: t.data.astype(np.float64) for n, t in adapter.params.items()}
     q1 = (p["adapter.layer01.A"] @ p["adapter.layer01.B"] @ p["adapter.shared.W_Q"]
           + p["adapter.shared.b_Q"])
     want = np.concatenate([q1] * 3, axis=1) @ p["adapter.final.W_Q_cat"] + \
         p["adapter.final.b_Q_cat"]
-    np.testing.assert_allclose(adapter.aggregate_query().data, want, atol=1e-5)
+    np.testing.assert_allclose(adapter.aggregate_query(all_tokens(adapter)).data, want,
+                               atol=1e-5)
 
 
 def test_aggregate_hand_max_avg():
@@ -272,35 +274,29 @@ def test_aggregate_hand_max_avg():
 
 
 def test_aggregate_empty_rejected():
-    # before a full forward the stash holds fewer than depth layer queries
+    # the fusion needs one token set per layer: none, too few or too many
+    # are refused
     adapter = make(cfg_toy())
-    with pytest.raises(ContractError):
-        adapter.aggregate_query()
-    adapter(1, Tensor(np.zeros((3, 8))))
-    with pytest.raises(ContractError):
-        adapter.aggregate_query()
+    tokens = all_tokens(adapter)
+    for wrong in ([], tokens[:1], tokens + tokens[:1]):
+        with pytest.raises(ContractError, match="token sets"):
+            adapter.aggregate_query(wrong)
 
 
 def test_aggregate_requires_link():
     adapter = make(cfg_toy(use_link=False))
-    for i in (1, 2):
-        adapter(i, Tensor(np.zeros((3, 8))))
-    with pytest.raises(ContractError):
-        adapter.aggregate_query()
+    with pytest.raises(ContractError, match="link"):
+        adapter.aggregate_query(all_tokens(adapter))
 
 
 def test_aggregate_max_gradient_routing_vs_fd():
     with T.using_dtype(np.float64):
         cfg = A.ReinConfig.from_variant("rein-link", c=4, depth=3, m=3, c_prime=2)
         adapter = make(cfg, seed=13)
-        rng = np.random.default_rng(13)
-        f = Tensor(rng.uniform(-1, 1, (5, 4)))
-        probe = Tensor(rng.uniform(-1, 1, (3, 2)))
+        probe = Tensor(np.random.default_rng(13).uniform(-1, 1, (3, 2)))
 
         def loss(_tokens):
-            for i in (1, 2, 3):
-                adapter(i, f)
-            return T.sum_all(T.mul(adapter.aggregate_query(), probe))
+            return T.sum_all(T.mul(adapter.aggregate_query(all_tokens(adapter)), probe))
 
         with Tape() as tape:
             tape.backward(loss(None))
@@ -318,9 +314,9 @@ def test_fresh_init_is_identity():
     adapter = make(cfg_toy(), seed=20)
     rng = np.random.default_rng(21)
     for i in (1, 2):
-        delta = adapter(i, Tensor(rng.standard_normal((6, 8))))
+        delta = adapter(i, Tensor(rng.standard_normal((6, 8))), adapter.tokens(i))
         assert np.all(delta.data == 0.0)
-    assert adapter.aggregate_query().shape == (4, 4)
+    assert adapter.aggregate_query(all_tokens(adapter)).shape == (4, 4)
 
 
 def untie(shared):
@@ -351,9 +347,10 @@ def test_share_tying_equivalence():
 
     f = Tensor(np.random.default_rng(24).standard_normal((5, 8)))
     for i in (1, 2):
-        assert shared(i, f).data.tobytes() == untied(i, f).data.tobytes()
-    assert shared.aggregate_query().data.tobytes() == \
-        untied.aggregate_query().data.tobytes()
+        assert shared(i, f, shared.tokens(i)).data.tobytes() == \
+            untied(i, f, untied.tokens(i)).data.tobytes()
+    assert shared.aggregate_query(all_tokens(shared)).data.tobytes() == \
+        untied.aggregate_query(all_tokens(untied)).data.tobytes()
 
 
 def test_full_chain_matches_procedure_transcription():
@@ -369,10 +366,10 @@ def test_full_chain_matches_procedure_transcription():
     got_f = f.copy()
     got_deltas = []
     for i in (1, 2):
-        d = adapter(i, Tensor(got_f))
+        d = adapter(i, Tensor(got_f), adapter.tokens(i))
         got_deltas.append(d.data)
         got_f = got_f + d.data
-    got_q = adapter.aggregate_query().data
+    got_q = adapter.aggregate_query(all_tokens(adapter)).data
 
     p = {n: t.data.astype(np.float64) for n, t in adapter.params.items()}
     w_t, b_t = p["adapter.shared.W_T"], p["adapter.shared.b_T"]
@@ -424,7 +421,7 @@ def test_share_gradient_equals_sum_of_untied():
             f = Tensor(f0)
             with Tape() as tape:
                 for i in (1, 2, 3):
-                    f = T.add(f, adapter(i, f))
+                    f = T.add(f, adapter(i, f, adapter.tokens(i)))
                 tape.backward(T.sum_all(f))
 
         run(shared)

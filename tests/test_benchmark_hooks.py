@@ -6,6 +6,7 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,3 +49,28 @@ def test_reference_counts_the_trainable_parameters(mode):
     cfg = replace(desk_config(mode=mode), pretrain=None)
     want = _load("reference").trainable_params(cfg.to_dict())
     assert build_model(cfg).n_trainable() == want
+
+
+@pytest.mark.parametrize("mode", ["full", "freeze", "rein"])
+def test_program_forward_matches_the_reference(mode):
+    # the benchmark's eval set-up noises every tensor the same way, so W_f,
+    # the biases and the query fusion all take part; the reference computes
+    # every layer's queries from its own tokens, in float64
+    from reinlab.train import build_model, desk_config
+
+    cfg = replace(desk_config(mode=mode), pretrain=None)
+    model = build_model(cfg)
+    rng = np.random.default_rng(7)
+    for name, t, _ in model.named_tensors():
+        noise = rng.standard_normal(t.shape)
+        if t.ndim == 2:  # x @ W weights: unit gain over the fan-in
+            t.data[...] = noise / np.sqrt(t.shape[0])
+        else:
+            t.data[...] = (1.0 if name.endswith(".g") else 0.0) + 0.1 * noise
+    images = rng.uniform(0, 1, (2, 3, 64, 64)).astype(np.float32)
+    got = model.forward_rows(images).data.astype(np.float64)
+    tensors = {name: (t.data, comp) for name, t, comp in model.named_tensors()}
+    want = _load("reference").forward_logits(tensors, cfg.to_dict(), images)
+    want = want.reshape(got.shape)
+    err = np.abs(got - want).max() / max(1.0, np.abs(want).max())
+    assert err <= 2e-5

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reinlab
-from conftest import tiny_train_config
+from conftest import BAD_CONFIGS, tiny_train_config
 from reinlab.cli import main
 
 
@@ -197,6 +197,19 @@ def test_train_validates_config_file_before_writing(tiny_benchmark, tmp_path, ca
                  "--out", str(out)]) != 0
     assert "eval_interval" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("bad,message", [b[1:] for b in BAD_CONFIGS],
+                         ids=[b[0] for b in BAD_CONFIGS])
+def test_train_rejects_malformed_config_file(bad, message, tiny_benchmark, tmp_path,
+                                             capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad(tiny_train_config(tiny_benchmark).to_dict())))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--data", str(tiny_benchmark),
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,6 +1,7 @@
 """Scene generation determinism, domain-shift semantics, file round-trips."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -234,6 +235,20 @@ def test_bad_manifest_json_raises_parse_error(tmp_path):
     with pytest.raises(ParseError, match="bad manifest") as err:
         D.read_manifest(tmp_path)
     assert err.value.offset == 8
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ([6, 32, 32], "not an object"),
+    ({"h": 32, "w": 32}, "'k' must be a positive int, got None"),
+    ({"k": "6", "h": 32, "w": 32}, "'k' must be a positive int"),
+    ({"k": 6, "h": 0, "w": 32}, "'h' must be a positive int"),
+    ({"k": 6, "h": 32, "w": True}, "'w' must be a positive int"),
+    ({"k": 6, "h": 32, "w": 32.0}, "'w' must be a positive int"),
+], ids=["list", "no-k", "string-k", "zero-h", "bool-w", "float-w"])
+def test_manifest_fields_raise_parse_error(tmp_path, manifest, message):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match=message):
+        D.read_manifest(tmp_path)
 
 
 def test_missing_label_file_raises_parse_error(tmp_path):

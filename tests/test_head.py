@@ -18,6 +18,11 @@ def make_head(k=3, d=8, queries=4, cp=4, taps=2, c=8, grid=(2, 2), out=(8, 8),
                      owns_queries=owns)
 
 
+def decode_own(head, tapped):
+    """Decode with the head's own query set, as the freeze and full modes do."""
+    return head.decode_rows(tapped, head.params["head.queries"])
+
+
 def rand_taps(rng, taps=2, n=4, c=8):
     return [Tensor(rng.standard_normal((n, c)).astype(np.float32))
             for _ in range(taps)]
@@ -161,7 +166,7 @@ def test_batched_decode_matches_per_image_reference_bytes():
     weights = Tensor(rng.standard_normal((bsz * hw, k)).astype(np.float32))
 
     with Tape() as tape:
-        rows, _, _, coarse = head.decode_rows(tapped)
+        rows, _, _, coarse = decode_own(head, tapped)
         tape.backward(T.sum_all(T.mul(rows, weights)))
     got_grads = {name: head.params[name].grad for name in ("head.W_pix", "head.W_cls")}
     want = np.concatenate([(coarse.data[:, b * n:(b + 1) * n] @ upsample).T
@@ -172,7 +177,7 @@ def test_batched_decode_matches_per_image_reference_bytes():
     for t in head.params.values():
         t.grad = None
     with Tape() as tape:
-        _, _, _, coarse = head.decode_rows(tapped)
+        _, _, _, coarse = decode_own(head, tapped)
         up = Tensor(upsample)
         ref_rows = T.concat(
             [T.transpose(T.matmul(T.narrow(coarse, 1, b * n, (b + 1) * n), up))
@@ -187,7 +192,7 @@ def test_decode_tape_records_independent_of_batch_size():
     counts = []
     for bsz in (1, 8):
         with Tape() as tape:
-            head.decode_rows(rand_taps(np.random.default_rng(33), n=bsz * 4))
+            decode_own(head, rand_taps(np.random.default_rng(33), n=bsz * 4))
         counts.append(len(tape))
     assert counts[0] == counts[1]
 
@@ -196,13 +201,7 @@ def test_decode_rejects_rows_of_partial_images():
     # the image count is rows / patches per image, so 6 rows of 4-patch
     # images are refused
     with pytest.raises(ShapeError):
-        make_head().decode_rows(rand_taps(np.random.default_rng(35), n=6))
-
-
-def test_missing_query_rejected_when_not_owned():
-    head = make_head(owns=False)
-    with pytest.raises(ContractError):
-        head.decode_rows(rand_taps(np.random.default_rng(6)))
+        decode_own(make_head(), rand_taps(np.random.default_rng(35), n=6))
 
 
 def test_linear_fallback_head_rejected():
@@ -212,7 +211,7 @@ def test_linear_fallback_head_rejected():
 
 def test_output_shape_independent_of_query_source():
     tapped = rand_taps(np.random.default_rng(8))
-    owned_rows, _, _, owned_coarse = make_head(owns=True).decode_rows(tapped)
+    owned_rows, _, _, owned_coarse = decode_own(make_head(owns=True), tapped)
     ext_rows, _, _, ext_coarse = make_head(owns=False).decode_rows(
         tapped, Tensor(np.random.default_rng(9).standard_normal((4, 4))))
     assert owned_rows.shape == ext_rows.shape
@@ -226,7 +225,7 @@ def test_output_shape_independent_of_query_source():
 def test_loss_uniform_logits_is_log_k():
     head = make_head(k=4)
     head.params["head.b_cls"].data[:] = 0.0  # force uniform predictions
-    rows, _, _, _ = head.decode_rows(rand_taps(np.random.default_rng(10)))
+    rows, _, _, _ = decode_own(head, rand_taps(np.random.default_rng(10)))
     label = np.random.default_rng(11).integers(0, 4, (8, 8))
     loss = T.cross_entropy_logits(rows, label.reshape(-1))
     assert abs(loss.item() - math.log(4)) <= 1e-4
@@ -268,7 +267,7 @@ def test_loss_descends_under_sgd():
     losses = []
     for _ in range(10):
         with Tape() as tape:
-            rows, _, _, _ = head.decode_rows(tapped)
+            rows, _, _, _ = decode_own(head, tapped)
             loss = T.cross_entropy_logits(rows, label.reshape(-1))
             tape.backward(loss)
         losses.append(loss.item())

@@ -1,11 +1,12 @@
 """Harness: optimizer math, mode partitions, checkpoints, swapping, runs."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import state_bytes, tiny_train_config
+from conftest import BAD_CONFIGS, state_bytes, tiny_train_config
 from reinlab import tensor as T
 from reinlab.checkpoint import Checkpoint, swap_adapter
 from reinlab.errors import (ConfigError, ContractError, NumericError,
@@ -13,8 +14,8 @@ from reinlab.errors import (ConfigError, ContractError, NumericError,
 from reinlab.model import TRAINED, SegModel
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
-from reinlab.train import (PROBE_TRAINED, TrainConfig, build_model, evaluate,
-                           evaluate_model, train)
+from reinlab.train import (PROBE_TRAINED, TrainConfig, build_model, desk_config,
+                           evaluate, evaluate_model, train)
 
 # ---------------------------------------------------------------------------
 # AdamW
@@ -104,6 +105,34 @@ def test_batch_loss_rejects_mismatched_batch_sizes():
     with pytest.raises(ContractError, match="batch size mismatch"):
         model.batch_loss(np.zeros((2, 3, 32, 32), dtype=np.float32),
                          np.zeros((3, 32, 32), dtype=np.int64))
+
+
+def test_forward_leaves_the_adapter_unchanged():
+    # the adapter keeps no state of a forward pass: the caller hands it the
+    # tokens, so its attributes and tensors read the same afterwards
+    model = build_model(tiny_train_config(""))
+    adapter = model.adapter
+    before = {k: copy.copy(v) for k, v in vars(adapter).items()}
+    data = state_bytes(adapter)
+    model.forward_rows(np.random.default_rng(0).uniform(0, 1, (2, 3, 32, 32)))
+    assert vars(adapter) == before
+    assert state_bytes(adapter) == data
+
+
+@pytest.mark.parametrize("mode,variant,records", [
+    ("rein", "rein-core", 94), ("rein", "rein-link", 102), ("rein", "rein-share", 102),
+    ("rein", "rein-lora", 106), ("freeze", "rein-lora", 13), ("full", "rein-lora", 66),
+], ids=["rein-core", "rein-link", "rein-share", "rein-lora", "freeze", "full"])
+def test_desk_train_step_tape_records(mode, variant, records):
+    # batch_loss records each op once; each T_i is computed once and feeds
+    # both its layer's refinement and its query (a second A_i B_i product
+    # for the queries would add 4 records to rein-lora)
+    model = build_model(replace(desk_config(mode=mode, variant=variant), pretrain=None))
+    rng = np.random.default_rng(0)
+    images = rng.uniform(0, 1, (2, 3, 64, 64)).astype(np.float32)
+    with Tape() as tape:
+        tape.backward(model.batch_loss(images, rng.integers(0, 6, (2, 64, 64))))
+    assert len(tape) == records
 
 
 def test_frozen_backbone_bytes_after_100_steps(tiny_benchmark):
@@ -270,6 +299,25 @@ def test_class_count_mismatch_rejected(tiny_benchmark, tmp_path):
         evaluate(ckpt, other, "test")
     with pytest.raises(ConfigError):
         train(tiny_train_config(other))
+
+
+@pytest.mark.parametrize("bad,message", [b[1:] for b in BAD_CONFIGS],
+                         ids=[b[0] for b in BAD_CONFIGS])
+def test_malformed_config_raises_config_error(bad, message, tiny_benchmark):
+    good = tiny_train_config(tiny_benchmark).to_dict()
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig.from_dict(bad(good))
+    # a checkpoint that stores it fails to evaluate with the same error
+    ckpt = Checkpoint.from_model(build_model(TrainConfig.from_dict(good)),
+                                 {"config": bad(good)})
+    with pytest.raises(ConfigError, match=message):
+        evaluate(ckpt, tiny_benchmark)
+
+
+def test_train_rejects_manifest_without_class_count(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"h": 32, "w": 32}')
+    with pytest.raises(ParseError, match="'k'"):
+        train(tiny_train_config(tmp_path))
 
 
 @pytest.mark.parametrize("field,value", [("eval_interval", 0), ("eval_interval", -5),
