@@ -1,10 +1,10 @@
 """Dense float tensors with tape-based reverse-mode automatic differentiation.
 
 Tensors wrap numpy arrays (float32 by default). Operations executed while a
-Tape is active record their output tensor, input tensors and backward
-closure; replaying the tape in reverse computes vector-Jacobian products in
-a map keyed by the tensors themselves and accumulates what reaches the
-leaves into ``.grad`` of every tensor that requires gradient.
+Tape is active on the same thread record their output tensor, input tensors
+and backward closure; replaying the tape in reverse computes vector-Jacobian
+products in a map keyed by the tensors themselves and accumulates what
+reaches the leaves into ``.grad`` of every tensor that requires gradient.
 Gradients accumulate across backward calls; call ``zero_grad`` between
 optimizer steps.
 
@@ -15,6 +15,7 @@ verifying the analytic backward rules; it never touches the tape.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,7 +23,17 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
-_TAPE_STACK: list["Tape"] = []
+
+
+class _TapeStack(threading.local):
+    """Each thread's open tapes: an op records only on the innermost tape
+    its own thread entered."""
+
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -129,11 +140,11 @@ class Tape:
         self._records = []  # (out, inputs tuple, backward_fn)
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
         return False
 
@@ -174,8 +185,9 @@ class Tape:
 
 
 def _record(inputs, out, backward_fn):
-    if _TAPE_STACK and out.requires_grad:
-        _TAPE_STACK[-1].record(inputs, out, backward_fn)
+    tapes = _TAPE_STACK.tapes
+    if tapes and out.requires_grad:
+        tapes[-1].record(inputs, out, backward_fn)
     return out
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -87,20 +89,44 @@ class TrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# JSON value kinds of the annotated config field types; a section field
+# (a config dataclass) is checked by its own ``_fields_of`` call instead
+_VALUE_KINDS = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+    "str": ((str,), "a string"),
+    "tuple": ((list, tuple), "a list of integers"),
+}
+
+
 def _fields_of(kind, d, where):
     """A copy of ``d`` checked to hold every required field of the dataclass
-    ``kind`` and no other key."""
+    ``kind``, no other key, and values of the fields' JSON kinds."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-    known = {f.name: f.default is MISSING and f.default_factory is MISSING
-             for f in fields(kind)}
+    known = {f.name: f for f in fields(kind)}
     for key in d:
         if key not in known:
             raise ConfigError(f"{where}: unknown field {key!r}")
-    for key, required in known.items():
-        if required and key not in d:
-            raise ConfigError(f"{where}: missing field {key!r}")
+    for key, f in known.items():
+        if key not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}: missing field {key!r}")
+            continue
+        if f.type in _VALUE_KINDS and not _is_kind(d[key], f.type):
+            raise ConfigError(f"{where}: field {key!r} must be "
+                              f"{_VALUE_KINDS[f.type][1]}, got {d[key]!r}")
     return dict(d)
+
+
+def _is_kind(value, type_name):
+    """Whether a JSON value fits a field type; a bool is no number."""
+    types, _ = _VALUE_KINDS[type_name]
+    if isinstance(value, (list, tuple)) and tuple in types:
+        return all(_is_kind(v, "int") for v in value)
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
 def desk_config(data_root="", mode="rein", variant="rein-lora", seed=0,
@@ -204,14 +230,31 @@ class EvalReport:
 def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport:
     """Deterministic per-class IoU over a sample list.
 
-    The confusion matrix accumulates integers, so the result is independent
-    of batching order.
+    Batches run concurrently on one thread per CPU the process may use, the
+    calling thread included; numpy releases the GIL inside BLAS and large
+    ufunc loops. Each batch counts its own integer confusion matrix, so the
+    sum, and the report, equal those of a serial run.
     """
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for start in range(0, len(samples), batch):
-        chunk = samples[start:start + batch]
-        preds = model.predict_labels(np.stack([s.image for s in chunk]))
-        cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
+    starts = range(0, len(samples), batch)
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
+
+    def count(share):
+        cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+        for start in share:
+            chunk = samples[start:start + batch]
+            preds = model.predict_labels(np.stack([s.image for s in chunk]))
+            cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
+        return cm
+
+    # The calling thread takes a share itself: its heap already holds the
+    # memory a forward needs, where each new thread grows its own allocator
+    # arena (about 5 MB per thread after a training run).
+    shares = [starts[j::workers] for j in range(workers)]
+    with ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="reinlab-eval") as pool:
+        others = [pool.submit(count, share) for share in shares[1:]]
+        cm = count(shares[0])
+        for future in others:
+            cm += future.result()
     ious, mean = iou_from_confusion(cm)
     return EvalReport(per_class=list(ious), miou=mean, n_images=len(samples))
 

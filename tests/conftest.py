@@ -68,6 +68,18 @@ BAD_CONFIGS = [
      "rein: missing field 'c'"),
     ("section-not-object", lambda d: {**d, "vit": [1]}, "vit: expected an object"),
     ("not-an-object", lambda d: [1], "config: expected an object"),
+    # a value of the wrong JSON kind, which the dataclasses would let through
+    ("string-depth", lambda d: {**d, "vit": {**d["vit"], "depth": "4"}},
+     "vit: field 'depth' must be an integer, got '4'"),
+    ("string-iterations", lambda d: {**d, "iterations": "5"},
+     "config: field 'iterations' must be an integer, got '5'"),
+    ("scalar-tap-layers", lambda d: {**d, "vit": {**d["vit"], "tap_layers": 4}},
+     "vit: field 'tap_layers' must be a list of integers, got 4"),
+    ("float-m", lambda d: {**d, "rein": {**d["rein"], "m": 2.5}},
+     "rein: field 'm' must be an integer, got 2.5"),
+    ("float-m-and-queries", lambda d: {**d, "rein": {**d["rein"], "m": 2.5},
+                                       "head": {**d["head"], "num_queries": 2.5}},
+     "head: field 'num_queries' must be an integer, got 2.5"),
 ]
 
 

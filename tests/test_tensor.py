@@ -418,6 +418,23 @@ def test_narrow_vjp_matches_fd_property(shape, data):
                        data.draw(st.integers(0, 2**16)))
 
 
+@VJP_PROPERTY
+@given(images=st.integers(1, 3), heads=st.integers(1, 3), rows=st.integers(1, 4),
+       head_dim=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_attention_vjp_matches_fd_property(images, heads, rows, head_dim, seed):
+    shape = (images * rows, heads * head_dim)
+    _weighted_fd_check(lambda q, k, v: T.attention(q, k, v, images, heads),
+                       [shape] * 3, shape, seed)
+
+
+@VJP_PROPERTY
+@given(p=st.integers(1, 4), q=st.integers(1, 4), s=st.integers(1, 4),
+       entry_bias=st.booleans(), seed=st.integers(0, 2**16))
+def test_linear_vjp_matches_fd_property(p, q, s, entry_bias, seed):
+    bias = (p, s) if entry_bias else (s,)
+    _weighted_fd_check(T.linear, [(p, q), (q, s), bias], (p, s), seed)
+
+
 # ---------------------------------------------------------------------------
 # remaining op semantics
 

@@ -1,6 +1,8 @@
 """Harness: optimizer math, mode partitions, checkpoints, swapping, runs."""
 
 import copy
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +11,15 @@ import pytest
 from conftest import BAD_CONFIGS, state_bytes, tiny_train_config
 from reinlab import tensor as T
 from reinlab.checkpoint import Checkpoint, swap_adapter
+from reinlab.data import load_split
 from reinlab.errors import (ConfigError, ContractError, NumericError,
                             ParseError, ShapeError)
+from reinlab.head import confusion_matrix, iou_from_confusion
 from reinlab.model import TRAINED, SegModel
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
-from reinlab.train import (PROBE_TRAINED, TrainConfig, build_model, desk_config,
-                           evaluate, evaluate_model, train)
+from reinlab.train import (PROBE_TRAINED, EvalReport, TrainConfig, build_model,
+                           desk_config, evaluate, evaluate_model, train)
 
 # ---------------------------------------------------------------------------
 # AdamW
@@ -286,6 +290,83 @@ def test_evaluate_is_deterministic(tiny_benchmark):
     b = evaluate(ckpt, tiny_benchmark, "val")
     assert a.miou == b.miou and a.per_class == pytest.approx(b.per_class,
                                                              nan_ok=True)
+
+
+def _noised_model(root, mode):
+    """A tiny model whose every tensor is noised, so that its predictions
+    depend on the adapter, the head and each image."""
+    model = build_model(tiny_train_config(root, mode=mode))
+    rng = np.random.default_rng(5)
+    for _, t, _ in model.named_tensors():
+        t.data += rng.normal(0, 0.3, t.shape).astype(t.data.dtype)
+    return model
+
+
+def _serial_report(model, samples, num_classes, batch):
+    """What ``evaluate_model`` reports, counted in one loop on this thread."""
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for start in range(0, len(samples), batch):
+        chunk = samples[start:start + batch]
+        preds = model.predict_labels(np.stack([s.image for s in chunk]))
+        cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
+    ious, mean = iou_from_confusion(cm)
+    return EvalReport(per_class=list(ious), miou=mean, n_images=len(samples))
+
+
+@pytest.mark.parametrize("mode", ["freeze", "rein"], ids=["freeze", "rein-lora"])
+@pytest.mark.parametrize("count,batch", [(0, 8), (1, 8), (13, 8), (13, 1)],
+                         ids=["0", "1", "13-partial-batch", "13-batch-1"])
+def test_evaluate_model_equals_serial_reference(tiny_benchmark, mode, count, batch):
+    samples = [s for split in ("train", "val", "test")
+               for s in load_split(tiny_benchmark, split)][:count]
+    assert len(samples) == count
+    model = _noised_model(tiny_benchmark, mode)
+    got = evaluate_model(model, samples, 6, batch=batch)
+    want = _serial_report(model, samples, 6, batch)
+    assert got.as_dict() == want.as_dict()
+    assert got.n_images == count
+
+
+def test_worker_thread_predictions_equal_the_main_thread(tiny_benchmark):
+    # more workers than cores, switching threads often: each forward must
+    # still give the main thread's bytes, as evaluate_model's batches rely on
+    model = _noised_model(tiny_benchmark, "rein")
+    images = np.stack([s.image for s in load_split(tiny_benchmark, "train")])
+    want = (model.forward_rows(images).data.tobytes(),
+            model.predict_labels(images).tobytes())
+
+    def both(x):
+        return model.forward_rows(x).data.tobytes(), model.predict_labels(x).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(both, [images] * 8, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8
+
+
+def test_a_tape_records_only_its_own_thread(tiny_benchmark):
+    model = build_model(tiny_train_config(tiny_benchmark))
+    images = np.random.default_rng(0).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
+    with Tape() as serial:
+        model.forward_rows(images)
+    assert len(serial) > 0
+
+    def on_worker_tape():
+        with Tape() as tape:
+            model.forward_rows(images)
+        return len(tape)
+
+    with Tape() as main:
+        with ThreadPoolExecutor(2) as pool:
+            untaped = pool.submit(model.forward_rows, images)
+            counted = pool.submit(on_worker_tape)
+            untaped.result(timeout=120)
+            assert counted.result(timeout=120) == len(serial)
+    assert len(main) == 0
 
 
 def test_class_count_mismatch_rejected(tiny_benchmark, tmp_path):
