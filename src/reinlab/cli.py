@@ -115,6 +115,7 @@ def _cmd_gen_data(args):
 
 def _cmd_train(args):
     from .adapter import VARIANTS
+    from .errors import ConfigError
     from .train import TrainConfig, desk_config, train
 
     if args.config:
@@ -126,7 +127,9 @@ def _cmd_train(args):
     flags = {"data_root": args.data, "mode": args.mode,
              "iterations": args.iterations, "seed": args.seed}
     changes = {k: v for k, v in flags.items() if v is not None}
-    if args.variant and cfg.rein is not None:
+    if args.variant:
+        if cfg.rein is None:
+            raise ConfigError("--variant sets the rein section, which the config lacks")
         changes["rein"] = replace(cfg.rein, **VARIANTS[args.variant])
     if args.backbone_seed is not None:
         changes.update(backbone_seed=args.backbone_seed, pretrain=None)

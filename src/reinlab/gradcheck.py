@@ -17,6 +17,7 @@ from .adapter import ReinConfig
 from .head import HeadConfig
 from .model import SegModel
 from .tensor import Tape
+from .train import TrainConfig
 from .vit import ViTConfig
 
 TOY = dict(image_size=8, patch_size=4, depth=2, dim=8, heads=2,
@@ -35,7 +36,7 @@ def build_toy_model(seed: int, mode: str) -> SegModel:
                       c_prime=TOY["c_prime"])
     head = HeadConfig(num_classes=TOY["num_classes"], embed_dim=TOY["embed_dim"],
                       num_queries=TOY["m"])
-    return SegModel(vit, head, mode, rein_cfg=rein, seed=seed)
+    return SegModel(TrainConfig(vit=vit, head=head, rein=rein, mode=mode, seed=seed))
 
 
 def model_gradient_check(seed: int, mode: str, h=1e-3):

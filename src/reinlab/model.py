@@ -13,13 +13,18 @@ replaces the head's own queries.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import tensor as T
-from .adapter import ReinAdapter, ReinConfig
-from .errors import ConfigError, ContractError
-from .head import HeadConfig, SegHead
-from .vit import ViTBackbone, ViTConfig
+from .adapter import ReinAdapter
+from .errors import ContractError
+from .head import SegHead
+from .vit import ViTBackbone
+
+if TYPE_CHECKING:
+    from .train import TrainConfig
 
 MODES = ("full", "freeze", "rein")
 # the components whose tensors train in each mode; nothing else gets gradients
@@ -34,45 +39,25 @@ _STREAM_HEAD = 2
 
 
 class SegModel:
-    def __init__(self, vit_cfg: ViTConfig, head_cfg: HeadConfig, mode: str,
-                 rein_cfg: ReinConfig | None = None, seed: int = 0,
-                 backbone_seed: int | None = None):
-        """``rein_cfg`` builds the adapter in rein mode; in every mode its
-        ``c_prime`` sets the head's query width (16 without one)."""
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}; pick from {MODES}")
-        if mode == "rein":
-            if rein_cfg is None:
-                raise ConfigError("rein mode requires a ReinConfig")
-            if rein_cfg.c != vit_cfg.dim or rein_cfg.depth != vit_cfg.depth:
-                raise ConfigError(
-                    f"adapter dims (c={rein_cfg.c}, depth={rein_cfg.depth}) do not "
-                    f"match backbone (dim={vit_cfg.dim}, depth={vit_cfg.depth})")
-        self.vit_cfg = vit_cfg
-        self.mode = mode
-        seed = int(seed)
-        self.backbone_seed = int(backbone_seed if backbone_seed is not None else seed)
-
+    def __init__(self, cfg: TrainConfig):
+        """Components of a checked config; in every mode, ``rein.c_prime`` sets
+        the head's query width (16 without a rein section)."""
+        self.cfg = cfg
+        vit, rein = cfg.vit, cfg.rein
+        backbone_seed = cfg.seed if cfg.backbone_seed is None else cfg.backbone_seed
         self.backbone = ViTBackbone(
-            vit_cfg, np.random.default_rng((self.backbone_seed, _STREAM_BACKBONE)))
+            vit, np.random.default_rng((backbone_seed, _STREAM_BACKBONE)))
         self.adapter = None
-        linked = False
-        if mode == "rein":
+        if cfg.mode == "rein":
             self.adapter = ReinAdapter(
-                rein_cfg, np.random.default_rng((seed, _STREAM_ADAPTER)))
-            linked = rein_cfg.use_link
-        query_dim = rein_cfg.c_prime if rein_cfg is not None else 16
-        if linked and head_cfg.num_queries != rein_cfg.m:
-            raise ConfigError(
-                f"head num_queries ({head_cfg.num_queries}) must equal the "
-                f"adapter token count m ({rein_cfg.m}) when queries are linked")
-        grid = (vit_cfg.grid, vit_cfg.grid)
-        out = (vit_cfg.image_size, vit_cfg.image_size)
+                rein, np.random.default_rng((cfg.seed, _STREAM_ADAPTER)))
+        linked = self.adapter is not None and rein.use_link
+        query_dim = rein.c_prime if rein is not None else 16
         self.head = SegHead(
-            head_cfg, len(vit_cfg.tap_layers), vit_cfg.dim, query_dim,
-            grid, out, np.random.default_rng((seed, _STREAM_HEAD)),
-            owns_queries=not linked)
-        self.set_trained(TRAINED[mode])
+            cfg.head, len(vit.tap_layers), vit.dim, query_dim,
+            (vit.grid, vit.grid), (vit.image_size, vit.image_size),
+            np.random.default_rng((cfg.seed, _STREAM_HEAD)), owns_queries=not linked)
+        self.set_trained(TRAINED[cfg.mode])
 
     # -- parameters ----------------------------------------------------------
 
@@ -109,7 +94,7 @@ class SegModel:
         linked, feeds the query fusion that replaces ``head.queries``."""
         adapter, hook = self.adapter, None
         if adapter is not None:
-            tokens = [adapter.tokens(i) for i in range(1, self.vit_cfg.depth + 1)]
+            tokens = [adapter.tokens(i) for i in range(1, self.cfg.vit.depth + 1)]
 
             def hook(i, f):
                 return adapter(i, f, tokens[i - 1])
@@ -126,7 +111,7 @@ class SegModel:
         """Argmax label maps [B, H, W] for a batch, without building grads."""
         bsz = images.shape[0]
         rows = self.forward_rows(images)
-        hw = self.vit_cfg.image_size
+        hw = self.cfg.vit.image_size
         return rows.data.argmax(axis=1).reshape(bsz, hw, hw)
 
     def batch_loss(self, images: np.ndarray, labels: np.ndarray):

@@ -70,8 +70,9 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigError(f"pretrain steps must be >= 0, got {self.steps}")
+        for name, value in (("steps", self.steps), ("seed", self.seed)):
+            if value < 0:
+                raise ConfigError(f"pretrain {name} must be >= 0, got {value}")
 
 
 def pretrain_scenes(cfg: PretrainConfig, first: int, count: int, size: int):

@@ -58,15 +58,28 @@ class TrainConfig:
     augment: bool = True
 
     def __post_init__(self):
+        """Every rule of a config, how its sections fit included; it runs at
+        construction, so before any data loads."""
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.iterations < 0 or self.batch_size < 1:
-            raise ConfigError("iterations must be >= 0 and batch_size >= 1")
-        for name in ("eval_interval", "loss_window"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.mode == "rein" and self.rein is None:
+            raise ConfigError(f"unknown mode {self.mode!r}; pick from {MODES}")
+        for name, low in (("iterations", 0), ("batch_size", 1), ("eval_interval", 1),
+                          ("loss_window", 1), ("seed", 0), ("backbone_seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if self.pretrain is not None and self.backbone_seed is not None:
+            raise ConfigError("backbone_seed draws a random backbone; a "
+                              "pretrained one comes from its recipe's seed")
+        if self.mode != "rein":
+            return
+        if self.rein is None:
             raise ConfigError("rein mode requires a rein config")
+        if (self.rein.c, self.rein.depth) != (self.vit.dim, self.vit.depth):
+            raise ConfigError(f"rein: c={self.rein.c}, depth={self.rein.depth} must equal "
+                              f"vit dim={self.vit.dim}, depth={self.vit.depth}")
+        if self.rein.use_link and self.head.num_queries != self.rein.m:
+            raise ConfigError(f"head: num_queries={self.head.num_queries} must equal "
+                              f"rein m={self.rein.m} when queries are linked")
 
     def to_dict(self):
         d = asdict(self)
@@ -76,12 +89,12 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``; an unknown or missing key, or a section
-        that is not an object, raises ConfigError naming it."""
+        that is neither an object nor null, raises ConfigError naming it."""
         d = _fields_of(cls, d, "config")
         d["vit"] = ViTConfig(**_fields_of(ViTConfig, d["vit"], "vit"))
         d["head"] = HeadConfig(**_fields_of(HeadConfig, d["head"], "head"))
         for key, kind in (("rein", ReinConfig), ("pretrain", PretrainConfig)):
-            d[key] = kind(**_fields_of(kind, d[key], key)) if d.get(key) else None
+            d[key] = None if d.get(key) is None else kind(**_fields_of(kind, d[key], key))
         return cls(**d)
 
     def config_hash(self):
@@ -153,11 +166,7 @@ def desk_config(data_root="", mode="rein", variant="rein-lora", seed=0,
 def build_model(cfg: TrainConfig) -> SegModel:
     """Model for ``cfg``; with a pretrain recipe set, its backbone is the
     recipe's output rather than a random draw."""
-    if cfg.pretrain is not None and cfg.backbone_seed is not None:
-        raise ConfigError("backbone_seed draws a random backbone; a "
-                          "pretrained one comes from its recipe's seed")
-    model = SegModel(cfg.vit, cfg.head, cfg.mode, rein_cfg=cfg.rein,
-                     seed=cfg.seed, backbone_seed=cfg.backbone_seed)
+    model = SegModel(cfg)
     if cfg.pretrain is not None:
         pretrained_backbone(cfg.vit, cfg.pretrain).load_into(model, "backbone")
     return model
@@ -259,13 +268,20 @@ def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport
     return EvalReport(per_class=list(ious), miou=mean, n_images=len(samples))
 
 
+def _check_dataset(manifest, cfg: TrainConfig):
+    """ConfigError unless a dataset's classes and image size are the model's."""
+    got = (manifest["k"], manifest["h"], manifest["w"])
+    want = (cfg.head.num_classes, cfg.vit.image_size, cfg.vit.image_size)
+    if got != want:
+        raise ConfigError("dataset has {} classes of {}x{} images, model expects "
+                          "{} classes of {}x{}".format(*got, *want))
+
+
 def evaluate(ckpt: Checkpoint, data_root, split="test", batch=8) -> EvalReport:
     """Evaluate a checkpoint on one split of a stored benchmark."""
     manifest = read_manifest(data_root)
     model = model_from_meta(ckpt.meta)
-    if model.head.cfg.num_classes != manifest["k"]:
-        raise ConfigError(f"checkpoint has {model.head.cfg.num_classes} classes "
-                          f"but dataset has {manifest['k']}")
+    _check_dataset(manifest, model.cfg)
     ckpt.load_into(model)
     samples = load_split(data_root, split)
     return evaluate_model(model, samples, manifest["k"], batch=batch)
@@ -295,14 +311,7 @@ def train(cfg: TrainConfig):
     Raises TrainDiverged on a non-finite loss, keeping the partial log.
     """
     manifest = read_manifest(cfg.data_root)
-    if manifest["k"] != cfg.head.num_classes:
-        raise ConfigError(
-            f"dataset has {manifest['k']} classes, config expects "
-            f"{cfg.head.num_classes}")
-    if manifest["h"] != cfg.vit.image_size or manifest["w"] != cfg.vit.image_size:
-        raise ConfigError(
-            f"dataset is {manifest['h']}x{manifest['w']}, backbone expects "
-            f"{cfg.vit.image_size}")
+    _check_dataset(manifest, cfg)
     train_set = load_split(cfg.data_root, "train")
     val_set = load_split(cfg.data_root, "val")
     test_set = load_split(cfg.data_root, "test")

@@ -58,7 +58,8 @@ def _without(section, key):
 
 # (id, malformed form of a ``TrainConfig.to_dict`` dict, text the
 # ConfigError must contain): an unknown key, a missing key and a section
-# that is not an object, at the top level and inside a section
+# that is not an object, at the top level and inside a section; a negative
+# seed; and every rule of how the sections fit
 BAD_CONFIGS = [
     ("unknown-key", lambda d: {**d, "iteration": 5}, "config: unknown field 'iteration'"),
     ("unknown-vit-key", lambda d: {**d, "vit": {**_without(d["vit"], "depth"), "depht": 4}},
@@ -80,6 +81,33 @@ BAD_CONFIGS = [
     ("float-m-and-queries", lambda d: {**d, "rein": {**d["rein"], "m": 2.5},
                                        "head": {**d["head"], "num_queries": 2.5}},
      "head: field 'num_queries' must be an integer, got 2.5"),
+    # only null or absence means "no section"; any other non-object raises
+    ("pretrain-false", lambda d: {**d, "pretrain": False},
+     "pretrain: expected an object, got bool"),
+    ("pretrain-zero", lambda d: {**d, "pretrain": 0}, "pretrain: expected an object, got int"),
+    ("pretrain-empty-string", lambda d: {**d, "pretrain": ""},
+     "pretrain: expected an object, got str"),
+    ("rein-empty-list", lambda d: {**d, "rein": []}, "rein: expected an object, got list"),
+    ("rein-empty-object", lambda d: {**d, "rein": {}}, "rein: missing field 'c'"),
+    # seeds are non-negative
+    ("negative-seed", lambda d: {**d, "seed": -1}, "seed must be >= 0, got -1"),
+    ("negative-backbone-seed", lambda d: {**d, "backbone_seed": -2},
+     "backbone_seed must be >= 0, got -2"),
+    ("negative-pretrain-seed", lambda d: {**d, "pretrain": {"steps": 0, "seed": -3}},
+     "pretrain seed must be >= 0, got -3"),
+    # sections that do not fit each other
+    ("unknown-mode", lambda d: {**d, "mode": "adapt"}, "unknown mode 'adapt'"),
+    ("rein-mode-without-rein", lambda d: {**d, "rein": None},
+     "rein mode requires a rein config"),
+    ("rein-c-not-vit-dim", lambda d: {**d, "rein": {**d["rein"], "c": 16}},
+     "rein: c=16, depth=2 must equal vit dim=32, depth=2"),
+    ("rein-depth-not-vit-depth", lambda d: {**d, "rein": {**d["rein"], "depth": 3}},
+     "rein: c=32, depth=3 must equal vit dim=32, depth=2"),
+    ("linked-queries-not-m", lambda d: {**d, "head": {**d["head"], "num_queries": 4}},
+     "head: num_queries=4 must equal rein m=6 when queries are linked"),
+    ("recipe-and-backbone-seed",
+     lambda d: {**d, "pretrain": {"steps": 0, "seed": 0}, "backbone_seed": 4},
+     "backbone_seed draws a random backbone"),
 ]
 
 

@@ -30,7 +30,7 @@ from reinlab.gradcheck import run_gradient_suite
 from reinlab.head import HeadConfig
 from reinlab.model import SegModel
 from reinlab.tensor import Tensor
-from reinlab.train import desk_config, evaluate, train
+from reinlab.train import TrainConfig, desk_config, evaluate, train
 from reinlab.vit import ViTConfig
 
 
@@ -109,7 +109,7 @@ def test_enumeration_construction_agreement():
                                        m=m, r=r, c_prime=cp)
         mode = ["rein", "full", "freeze"][trial % 3]
         head = HeadConfig(num_classes=4, embed_dim=8, num_queries=m)
-        model = SegModel(vit, head, mode, rein_cfg=rein, seed=trial)
+        model = SegModel(TrainConfig(vit=vit, head=head, rein=rein, mode=mode, seed=trial))
         counted = [(r.name, r.shape) for r in count_trainable(vit, rein, mode).rows]
         live = [(n, t.shape) for n, t, c in model.named_tensors()
                 if t.requires_grad and c != "head"]
@@ -123,8 +123,9 @@ def test_identity_at_init():
     vit = ViTConfig(image_size=32, patch_size=8, depth=2, dim=32, heads=4)
     rein = ReinConfig(c=32, depth=2, m=6, r=2, c_prime=8)
     head = HeadConfig(num_classes=6, embed_dim=16, num_queries=6)
-    rein_model = SegModel(vit, head, "rein", rein_cfg=rein, seed=11)
-    freeze_model = SegModel(vit, head, "freeze", rein_cfg=rein, seed=11)
+    rein_model = SegModel(TrainConfig(vit=vit, head=head, rein=rein, mode="rein", seed=11))
+    freeze_model = SegModel(TrainConfig(vit=vit, head=head, rein=rein, mode="freeze",
+                                        seed=11))
     adapter = rein_model.adapter
     tokens = [adapter.tokens(i) for i in (1, 2)]
 

@@ -8,6 +8,7 @@ from reinlab.audit import count_trainable
 from reinlab.errors import ConfigError
 from reinlab.head import HeadConfig
 from reinlab.model import SegModel
+from reinlab.train import TrainConfig
 from reinlab.vit import ViTConfig
 
 LARGE_VIT = ViTConfig(image_size=512, patch_size=16, depth=24, dim=1024, heads=16)
@@ -81,7 +82,7 @@ def test_enumeration_matches_constructed_models():
                                        m=m, r=r, c_prime=cp)
         mode = ["rein", "full", "freeze"][trial % 3]
         head = HeadConfig(num_classes=4, embed_dim=8, num_queries=m)
-        model = SegModel(vit, head, mode, rein_cfg=rein, seed=trial)
+        model = SegModel(TrainConfig(vit=vit, head=head, rein=rein, mode=mode, seed=trial))
         report = count_trainable(vit, rein, mode)
         counted = [(r.name, r.shape, r.component) for r in report.rows]
         live = [(n, t.shape, c) for n, t, c in model.named_tensors()

@@ -199,6 +199,27 @@ def test_train_validates_config_file_before_writing(tiny_benchmark, tmp_path, ca
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_variant_flag_without_a_rein_section_is_an_error(tiny_benchmark, tmp_path,
+                                                        capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        tiny_train_config(tiny_benchmark, mode="freeze", rein=None).to_dict()))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--data", str(tiny_benchmark),
+                 "--out", str(out), "--variant", "rein-core"]) == 2
+    assert "--variant sets the rein section" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_fails_before_any_data_loads(tmp_path, capsys):
+    out = tmp_path / "run"
+    # the data root does not exist: the seed is checked first
+    assert main(["train", "--data", str(tmp_path / "absent"), "--out", str(out),
+                 "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad,message", [b[1:] for b in BAD_CONFIGS],
                          ids=[b[0] for b in BAD_CONFIGS])
 def test_train_rejects_malformed_config_file(bad, message, tiny_benchmark, tmp_path,

@@ -137,12 +137,11 @@ def test_config_round_trip_keeps_recipe():
     assert again.config_hash() == cfg.config_hash()
 
 
-def test_backbone_seed_conflicts_with_recipe():
-    with pytest.raises(ConfigError, match="backbone_seed"):
-        build_model(desk_config(backbone_seed=4))
-    # without a recipe the random backbone seed still applies
-    cfg = desk_config(pretrain=None, backbone_seed=4)
-    assert build_model(cfg).backbone_seed == 4
+def test_empty_pretrain_section_is_the_default_recipe():
+    # only null means "no recipe"; an empty object takes every default
+    d = desk_config(pretrain=SHORT).to_dict()
+    assert TrainConfig.from_dict({**d, "pretrain": {}}).pretrain == PretrainConfig()
+    assert TrainConfig.from_dict({**d, "pretrain": None}).pretrain is None
 
 
 def test_model_from_checkpoint_meta_skips_pretraining(monkeypatch):
@@ -154,7 +153,7 @@ def test_model_from_checkpoint_meta_skips_pretraining(monkeypatch):
 
     monkeypatch.setattr(train_mod, "pretrained_backbone", refuse)
     model = train_mod.model_from_meta({"config": cfg.to_dict()})
-    assert model.mode == "rein"
+    assert model.cfg.mode == "rein" and model.adapter is not None
 
 
 def test_pretrain_config_validation():

@@ -1,6 +1,7 @@
 """Harness: optimizer math, mode partitions, checkpoints, swapping, runs."""
 
 import copy
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -15,7 +16,7 @@ from reinlab.data import load_split
 from reinlab.errors import (ConfigError, ContractError, NumericError,
                             ParseError, ShapeError)
 from reinlab.head import confusion_matrix, iou_from_confusion
-from reinlab.model import TRAINED, SegModel
+from reinlab.model import TRAINED
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
 from reinlab.train import (PROBE_TRAINED, EvalReport, TrainConfig, build_model,
@@ -90,18 +91,48 @@ def test_rein_mode_gradient_partition(tiny_benchmark, mode, phase):
     assert {n for n, t, _ in model.named_tensors() if t.grad is not None} == want
 
 
-def test_segmodel_rejects_inconsistent_configs():
-    cfg = tiny_train_config("")
-    vit, head, rein = cfg.vit, cfg.head, cfg.rein
-    with pytest.raises(ConfigError, match="unknown mode"):
-        SegModel(vit, head, "adapt", rein_cfg=rein)
-    with pytest.raises(ConfigError, match="requires a ReinConfig"):
-        SegModel(vit, head, "rein")
-    for wrong in (replace(rein, c=16), replace(rein, depth=3)):
-        with pytest.raises(ConfigError, match="do not match"):
-            SegModel(vit, head, "rein", rein_cfg=wrong)
-    with pytest.raises(ConfigError, match="num_queries"):
-        SegModel(vit, replace(head, num_queries=4), "rein", rein_cfg=rein)
+# SHA-256 of every tensor's name, bytes and requires_grad flag at build, per
+# (mode, variant, backbone_seed) of a recipe-less desk config at seed 3
+_PINNED_DRAWS = {
+    ("full", "rein-core", None): "9e16fe02acef32a8893fd73058207fbe7888f761815a9d1d72e5affb65ec9a72",
+    ("full", "rein-core", 7): "f92e625f14665d9107477175235755f46559dc812a0663873d8961693d63f1d6",
+    ("full", "rein-link", None): "9e16fe02acef32a8893fd73058207fbe7888f761815a9d1d72e5affb65ec9a72",
+    ("full", "rein-link", 7): "f92e625f14665d9107477175235755f46559dc812a0663873d8961693d63f1d6",
+    ("full", "rein-share", None): "9e16fe02acef32a8893fd73058207fbe7888f761815a9d1d72e5affb65ec9a72",
+    ("full", "rein-share", 7): "f92e625f14665d9107477175235755f46559dc812a0663873d8961693d63f1d6",
+    ("full", "rein-lora", None): "9e16fe02acef32a8893fd73058207fbe7888f761815a9d1d72e5affb65ec9a72",
+    ("full", "rein-lora", 7): "f92e625f14665d9107477175235755f46559dc812a0663873d8961693d63f1d6",
+    ("freeze", "rein-core", None): "8a84ff4a0c7f041a0dc97ad11d98806c185b0294b2d6340eba5bee7a10d3805a",
+    ("freeze", "rein-core", 7): "cafbeef73dd9ddcae7e11fcee82ddfab064993ab0ce8949f589892415d653a1a",
+    ("freeze", "rein-link", None): "8a84ff4a0c7f041a0dc97ad11d98806c185b0294b2d6340eba5bee7a10d3805a",
+    ("freeze", "rein-link", 7): "cafbeef73dd9ddcae7e11fcee82ddfab064993ab0ce8949f589892415d653a1a",
+    ("freeze", "rein-share", None): "8a84ff4a0c7f041a0dc97ad11d98806c185b0294b2d6340eba5bee7a10d3805a",
+    ("freeze", "rein-share", 7): "cafbeef73dd9ddcae7e11fcee82ddfab064993ab0ce8949f589892415d653a1a",
+    ("freeze", "rein-lora", None): "8a84ff4a0c7f041a0dc97ad11d98806c185b0294b2d6340eba5bee7a10d3805a",
+    ("freeze", "rein-lora", 7): "cafbeef73dd9ddcae7e11fcee82ddfab064993ab0ce8949f589892415d653a1a",
+    ("rein", "rein-core", None): "ea775e31fbd451c8e7a17165e62b0cd32e82306d0f98bda48885a5a00595b02b",
+    ("rein", "rein-core", 7): "80bf701851391aeacbf2a07dc040286baa65cbffcdf8f022419ae49e2e0fb656",
+    ("rein", "rein-link", None): "fde2fcc2807fca7e76a525237f76f81b3729bfe19e379998e50227c0527dc55f",
+    ("rein", "rein-link", 7): "fe50a0678aed5e722fa4d0833e0e2a4806936ec5c2afcfb2f265cf8796f8b2a9",
+    ("rein", "rein-share", None): "790bdaa16bfddb8a80644328a36df856e5e1f3bfb6c254144c29ed1390b8b81a",
+    ("rein", "rein-share", 7): "0ebf2f00b883e677cb5a90c86314fbb649dee5eccd683a2743fcc2750d8a31c0",
+    ("rein", "rein-lora", None): "72846a2a3069f350d5d0b8ef2458581822d335781ead1e16b6b8223c73e06c9e",
+    ("rein", "rein-lora", 7): "b24f0c73378cf5bde75b61b9970c857e8b792965e2c2085795239bf2520c1472",
+}
+
+
+@pytest.mark.parametrize("mode,variant,backbone_seed", list(_PINNED_DRAWS))
+def test_model_draws_are_pinned(mode, variant, backbone_seed):
+    """Each component draws from its own fixed rng stream, so a refactor of
+    how a model is built must leave these bytes alone. They are pure numpy
+    draws with no BLAS; a numpy upgrade that changes its generators may
+    legitimately move them, and then they are recorded anew."""
+    cfg = desk_config(mode=mode, variant=variant, seed=3, pretrain=None,
+                      backbone_seed=backbone_seed)
+    digest = hashlib.sha256()
+    for name, t, _ in build_model(cfg).named_tensors():
+        digest.update(name.encode() + t.data.tobytes() + bytes([t.requires_grad]))
+    assert digest.hexdigest() == _PINNED_DRAWS[mode, variant, backbone_seed]
 
 
 def test_batch_loss_rejects_mismatched_batch_sizes():
@@ -376,10 +407,18 @@ def test_class_count_mismatch_rejected(tiny_benchmark, tmp_path):
     generate_benchmark(other, k=5, size=32, counts=(2, 1, 1), seed=0)
     cfg = tiny_train_config(tiny_benchmark, iterations=1, eval_interval=1)
     ckpt, _ = train(cfg)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="has 5 classes"):
         evaluate(ckpt, other, "test")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="has 5 classes"):
         train(tiny_train_config(other))
+    # a 64 px checkpoint on 32 px scenes fails before any image loads
+    desk = desk_config(pretrain=None)
+    ckpt = Checkpoint.from_model(build_model(desk), {"config": desk.to_dict()})
+    sizes = "of 32x32 images, model expects 6 classes of 64x64"
+    with pytest.raises(ConfigError, match=sizes):
+        evaluate(ckpt, tiny_benchmark, "test")
+    with pytest.raises(ConfigError, match=sizes):
+        train(replace(desk, data_root=str(tiny_benchmark)))
 
 
 @pytest.mark.parametrize("bad,message", [b[1:] for b in BAD_CONFIGS],

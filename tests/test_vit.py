@@ -8,6 +8,7 @@ from reinlab import tensor as T
 from reinlab.errors import ConfigError, ContractError, ShapeError
 from reinlab.head import HeadConfig
 from reinlab.model import SegModel
+from reinlab.train import TrainConfig
 from reinlab.tensor import Tensor
 from reinlab.vit import ViTBackbone, ViTConfig, default_tap_layers
 
@@ -135,7 +136,7 @@ def test_batch_forward_matches_per_image():
 
 def test_frozen_backbone_has_no_trainable_tensors():
     head = HeadConfig(num_classes=3, embed_dim=8, num_queries=4)
-    bb = SegModel(toy_cfg(), head, "freeze", seed=0).backbone
+    bb = SegModel(TrainConfig(vit=toy_cfg(), head=head, mode="freeze")).backbone
     assert all(not t.requires_grad for t in bb.params.values())
     before = state_bytes(bb)
     img = rand_image(np.random.default_rng(1), 32)
