@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ContractError, ParseError
 
 
 def default_palette(k: int):
@@ -82,7 +82,12 @@ def default_target_spec(k: int) -> DomainSpec:
 
 @dataclass
 class SceneSample:
-    image: np.ndarray  # [3, H, W] float32 in [0, 1]
+    """One scene. ``generate_scene`` gives ``image`` as [3, H, W] float32 in
+    [0, 1]; a loaded split (``load_split``, ``read_dataset``) holds the
+    [3, H, W] uint8 pixels of its PPM files, a quarter of the bytes, and
+    ``pixel_floats`` turns a stack of them into a model batch."""
+
+    image: np.ndarray  # [3, H, W] float32 in [0, 1], or uint8 pixels as loaded
     label: np.ndarray  # [H, W] uint8, class ids (< K) or 255
 
 
@@ -244,6 +249,8 @@ def _write_pnm(path, magic, arr2d_or_3d, w, h):
 
 def write_ppm(path, image: np.ndarray):
     """image: [3, H, W] floats in [0, 1] -> 8-bit binary PPM."""
+    if image.dtype.kind != "f":  # a loaded split's pixels would saturate
+        raise ContractError(f"expected float image in [0, 1], got {image.dtype}")
     _, h, w = image.shape
     pix = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     _write_pnm(path, "P6", pix.transpose(1, 2, 0), w, h)
@@ -294,11 +301,26 @@ def _decode_pnm(data, path, magic_want, channels):
     return arr, w, h
 
 
+def pixel_floats(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels, of one image or a stacked batch -> float32 in [0, 1];
+    the one conversion, so a batch of loaded pixels has the bits of
+    ``decode_ppm`` of the same files."""
+    if pixels.dtype != np.uint8:
+        raise ContractError(f"expected uint8 pixels, got {pixels.dtype}")
+    floats = pixels.astype(np.float32)
+    floats /= 255.0  # in place: the float32 loop of ``/ 255.0``, one buffer
+    return floats
+
+
+def _ppm_pixels(data, path):
+    """8-bit binary PPM bytes -> contiguous [3, H, W] uint8 pixels."""
+    arr, w, h = _decode_pnm(data, path, "P6", 3)
+    return np.ascontiguousarray(arr.reshape(h, w, 3).transpose(2, 0, 1))
+
+
 def decode_ppm(data: bytes, path="<bytes>") -> np.ndarray:
     """8-bit binary PPM bytes -> [3, H, W] floats in [0, 1]."""
-    arr, w, h = _decode_pnm(data, path, "P6", 3)
-    img = arr.reshape(h, w, 3).transpose(2, 0, 1)
-    return (img.astype(np.float32) / 255.0)
+    return pixel_floats(_ppm_pixels(data, path))
 
 
 def decode_pgm(data: bytes, path="<bytes>") -> np.ndarray:
@@ -320,13 +342,15 @@ def write_dataset(directory, samples):
 
 
 def read_dataset(directory):
+    """The directory's samples in file order, each image as the uint8 pixels
+    of its PPM file (see ``SceneSample``)."""
     directory = Path(directory)
     samples = []
     for ppm in sorted(directory.glob("*.ppm")):
         pgm = ppm.with_suffix(".pgm")
         if not pgm.exists():
             raise ParseError(pgm, 0, "missing label file for image")
-        samples.append(SceneSample(image=decode_ppm(ppm.read_bytes(), ppm),
+        samples.append(SceneSample(image=_ppm_pixels(ppm.read_bytes(), ppm),
                                    label=decode_pgm(pgm.read_bytes(), pgm)))
     return samples
 

@@ -16,13 +16,14 @@ distinguishable from the first gradient step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
 
 
@@ -66,6 +67,15 @@ def bilinear_matrix(src_hw, dst_hw):
                    _interp_matrix(src_hw[1], dst_hw[1]))
 
 
+@functools.lru_cache(maxsize=8)
+def _upsample_matrix(grid_hw, out_hw, dtype):
+    """The [n, H*W] upsampling matrix (``bilinear_matrix`` transposed) in
+    ``dtype``; every head of one shape shares it, so it is read-only."""
+    m = np.ascontiguousarray(bilinear_matrix(grid_hw, out_hw).T, dtype=dtype)
+    m.setflags(write=False)
+    return m
+
+
 def param_shapes(cfg: HeadConfig, n_taps, feat_dim, query_dim, owns_queries=True):
     """Head tensors in draw order: name -> (shape, init), in the format that
     ``tensor.parameters`` draws. A weight's uniform bound is 1/sqrt(fan_in);
@@ -101,8 +111,8 @@ class SegHead:
         self.n_patches = grid_hw[0] * grid_hw[1]
         self.params = T.parameters(
             param_shapes(cfg, n_taps, feat_dim, query_dim, owns_queries), rng)
-        self._upsample = Tensor(np.ascontiguousarray(
-            bilinear_matrix(self.grid_hw, self.out_hw).T))  # [n, H*W]
+        self._upsample = Tensor._wrap(_upsample_matrix(
+            self.grid_hw, self.out_hw, T.default_dtype()), False)
 
     def named_tensors(self):
         return list(self.params.items())
@@ -147,10 +157,17 @@ def confusion_matrix(pred, gt, num_classes, ignore_index=255):
     gt = np.asarray(gt).reshape(-1)
     if pred.shape != gt.shape:
         raise ShapeError(f"label shapes differ: {pred.shape} vs {gt.shape}")
-    valid = gt != ignore_index
-    idx = gt[valid].astype(np.int64) * num_classes + pred[valid].astype(np.int64)
-    return np.bincount(idx, minlength=num_classes * num_classes).reshape(
-        num_classes, num_classes)
+    # one count over gt*K + pred + 1, with ignored pixels in bin 0, which is
+    # dropped; a gt label >= K lands past the K*K bins
+    idx = gt.astype(np.intp)
+    idx *= num_classes
+    idx += pred
+    idx += 1
+    idx[gt == ignore_index] = 0
+    counts = np.bincount(idx, minlength=num_classes * num_classes + 1)
+    if counts.size > num_classes * num_classes + 1:
+        raise ContractError(f"labels outside [0,{num_classes}) and != {ignore_index}")
+    return counts[1:].reshape(num_classes, num_classes)
 
 
 def iou_from_confusion(cm):

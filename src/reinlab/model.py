@@ -108,11 +108,21 @@ class SegModel:
         return rows
 
     def predict_labels(self, images: np.ndarray) -> np.ndarray:
-        """Argmax label maps [B, H, W] for a batch, without building grads."""
+        """Argmax label maps [B, H, W] for a batch, without building grads.
+
+        The argmax runs over the class-major [K, B*H*W] memory under the
+        rows, one class at a time; a strict ``>`` keeps the first maximum,
+        as ``argmax`` does, without a row-major copy of the scores.
+        """
         bsz = images.shape[0]
-        rows = self.forward_rows(images)
+        scores = self.forward_rows(images).data.T
+        best = scores[0].copy()
+        labels = np.zeros(best.shape, dtype=np.intp)
+        for k in range(1, scores.shape[0]):
+            np.copyto(labels, k, where=scores[k] > best)
+            np.maximum(best, scores[k], out=best)
         hw = self.cfg.vit.image_size
-        return rows.data.argmax(axis=1).reshape(bsz, hw, hw)
+        return labels.reshape(bsz, hw, hw)
 
     def batch_loss(self, images: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy over a batch; labels [B, H, W] with 255 ignore."""

@@ -54,6 +54,11 @@ def using_dtype(dtype):
         _DEFAULT_DTYPE = prev
 
 
+def default_dtype():
+    """The dtype new tensors take: float32, or what ``using_dtype`` set."""
+    return _DEFAULT_DTYPE
+
+
 class Tensor:
     """A dense n-dimensional float array, and its own graph node: tensors
     hash by identity (no ``__eq__``), so the tape keys gradients by them.
@@ -71,7 +76,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
-        """Internal constructor for op outputs; takes ownership of ``arr``."""
+        """Internal constructor for op outputs and shared constants; wraps
+        ``arr`` itself, without a copy or a dtype cast."""
         t = cls.__new__(cls)
         t.data = arr
         t.requires_grad = requires_grad
@@ -394,7 +400,11 @@ def _softmax(x, out):
     """
     if not np.isfinite(x).all():
         raise NumericError("softmax received non-finite input")
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    # Row maxima read down the columns of a transposed copy: numpy reduces
+    # short rows one at a time, but an outer axis with whole-row maxima.
+    # max is exact, so the output has the bits it had with ``x.max(axis=-1)``.
+    cols = np.swapaxes(np.atleast_2d(x), -1, -2).copy()
+    np.subtract(x, cols.max(axis=-2).reshape(x.shape[:-1] + (1,)), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -479,6 +489,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch_size: int, heads: int) -> T
     return _record((q, k, v), out, backward)
 
 
+def _row_mean(a):
+    """``a.mean(axis=-1, keepdims=True)`` with its bits, without the Python
+    overhead of ``ndarray.mean``: the same float sum, then a division that
+    rounds once (``mean`` rounds through float64, which gives the same
+    float32 quotient)."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
     """Normalize each trailing-axis row to zero mean / unit variance, then
     apply the affine (gamma, beta)."""
@@ -487,9 +505,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} != ({d},)"
         )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - _row_mean(x.data)
     y = xhat * xhat
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(y) + eps)
     xhat *= inv
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
@@ -504,9 +522,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps=1e-5) -> Tensor:
             gbeta = g.reshape(-1, d).sum(axis=0)
         if x.requires_grad:
             gx = g * gamma_data
-            m1 = gx.mean(axis=-1, keepdims=True)
+            m1 = _row_mean(gx)
             tmp = gx * xhat
-            m2 = tmp.mean(axis=-1, keepdims=True)
+            m2 = _row_mean(tmp)
             np.multiply(xhat, m2, out=tmp)
             gx -= m1
             gx -= tmp
@@ -525,8 +543,12 @@ def gelu(x: Tensor) -> Tensor:
     t += xd
     t *= _GELU_K
     np.tanh(t, out=t)  # t = tanh(K (x + A x^3))
-    y = xd * 0.5
-    y *= t + 1.0
+    # (x / 2) (1 + t) in one buffer, computed as ((1 + t) / 2) x with the
+    # same bits: 1 + t is 0 or at least one ulp of 1, so halving it is
+    # exact, and 1 + t is exactly 1 wherever x / 2 would round
+    y = t + 1.0
+    y *= 0.5
+    y *= xd
     out = Tensor._wrap(y, x.requires_grad)
 
     def backward(g):

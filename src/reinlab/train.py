@@ -19,7 +19,7 @@ import numpy as np
 
 from .adapter import ReinConfig
 from .checkpoint import Checkpoint
-from .data import load_split, read_manifest
+from .data import load_split, pixel_floats, read_manifest
 from .errors import ConfigError, NumericError
 from .head import HeadConfig, confusion_matrix, iou_from_confusion
 from .model import MODES, TRAINED, SegModel
@@ -237,7 +237,8 @@ class EvalReport:
 
 
 def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport:
-    """Deterministic per-class IoU over a sample list.
+    """Deterministic per-class IoU over loaded samples (uint8 pixels, as
+    ``load_split`` holds them); each batch becomes floats on its own thread.
 
     Batches run concurrently on one thread per CPU the process may use, the
     calling thread included; numpy releases the GIL inside BLAS and large
@@ -251,7 +252,7 @@ def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport
         cm = np.zeros((num_classes, num_classes), dtype=np.int64)
         for start in share:
             chunk = samples[start:start + batch]
-            preds = model.predict_labels(np.stack([s.image for s in chunk]))
+            preds = model.predict_labels(pixel_floats(np.stack([s.image for s in chunk])))
             cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
         return cm
 
@@ -344,13 +345,13 @@ def train(cfg: TrainConfig):
         for j, i in enumerate(idx):
             s = train_set[i]
             if cfg.augment and flips[j]:
-                imgs.append(s.image[:, :, ::-1].copy())
-                labels.append(s.label[:, ::-1].copy())
+                imgs.append(s.image[:, :, ::-1])
+                labels.append(s.label[:, ::-1])
             else:
                 imgs.append(s.image)
                 labels.append(s.label)
         with Tape() as tape:
-            loss = model.batch_loss(np.stack(imgs), np.stack(labels))
+            loss = model.batch_loss(pixel_floats(np.stack(imgs)), np.stack(labels))
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainDiverged(t, metrics)

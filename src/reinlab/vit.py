@@ -122,6 +122,8 @@ class ViTBackbone:
             raise ShapeError(
                 f"expected [B,3,{cfg.image_size},{cfg.image_size}] image, got {images.shape}"
             )
+        if images.dtype.kind != "f":  # e.g. a loaded split's pixels, unconverted
+            raise ContractError(f"expected float images in [0, 1], got {images.dtype}")
         b = images.shape[0]
         g, ps = cfg.grid, cfg.patch_size
         x = images.reshape(b, 3, g, ps, g, ps)
@@ -153,6 +155,9 @@ class ViTBackbone:
         v = T.linear(x, p[lp + "attn.Wv"], p[lp + "attn.bv"])
         ctx = T.attention(q, k, v, f.shape[0] // n, self.cfg.heads)
         f = T.add(f, T.linear(ctx, p[lp + "attn.Wo"], p[lp + "attn.bo"]))
+        # free these arrays before the MLP's [B*n, hidden] ones; an open
+        # tape still holds what its backward needs
+        del x, q, k, v, ctx
 
         x = T.layer_norm(f, p[lp + "ln2.g"], p[lp + "ln2.b"])
         x = T.gelu(T.linear(x, p[lp + "mlp.W1"], p[lp + "mlp.b1"]))

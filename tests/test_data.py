@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tiny_train_config
 from reinlab import data as D
-from reinlab.errors import ConfigError, ParseError
+from reinlab.errors import ConfigError, ContractError, ParseError
+from reinlab.train import build_model
 
 
 def test_scene_deterministic():
@@ -189,7 +191,31 @@ def test_roundtrip(tmp_path):
     assert len(back) == 4
     for orig, got in zip(samples, back):
         assert orig.label.tobytes() == got.label.tobytes()
-        assert np.max(np.abs(orig.image - got.image)) <= 1.0 / 255.0
+        assert np.max(np.abs(orig.image - D.pixel_floats(got.image))) <= 1.0 / 255.0
+
+
+def test_loaded_split_holds_pixels_that_batch_as_decode_ppm(tiny_benchmark):
+    samples = D.load_split(tiny_benchmark, "train")
+    for s in samples:
+        assert s.image.dtype == np.uint8 and s.image.shape == (3, 32, 32)
+        assert s.image.flags.c_contiguous
+    ppms = sorted((tiny_benchmark / "train").glob("*.ppm"))
+    want = np.stack([D.decode_ppm(p.read_bytes(), p) for p in ppms])
+    pixels = np.stack([s.image for s in samples])
+    got = D.pixel_floats(pixels)
+    assert got.dtype == want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == (pixels.astype(np.float32) / 255.0).tobytes()
+
+
+def test_unconverted_pixels_are_rejected(tiny_benchmark, tmp_path):
+    pixels = np.stack([s.image for s in D.load_split(tiny_benchmark, "val")])
+    with pytest.raises(ContractError, match="uint8"):
+        D.pixel_floats(D.pixel_floats(pixels))
+    with pytest.raises(ContractError, match="float images"):
+        build_model(tiny_train_config(tiny_benchmark)).predict_labels(pixels)
+    with pytest.raises(ContractError, match="float image"):
+        D.write_ppm(tmp_path / "x.ppm", pixels[0])
 
 
 def test_truncated_ppm_raises_parse_error(tmp_path):

@@ -143,6 +143,18 @@ def test_kronecker_upsample_equals_loop_after_float32_cast():
     assert got.astype(np.float32).tobytes() == want.astype(np.float32).tobytes()
 
 
+def test_heads_of_one_shape_share_a_read_only_upsample_matrix():
+    a, b = make_head(seed=0), make_head(seed=1)
+    assert a._upsample.data is b._upsample.data
+    assert a._upsample.data.tobytes() == np.ascontiguousarray(
+        H.bilinear_matrix((2, 2), (8, 8)).T, dtype=np.float32).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a._upsample.data[0, 0] = 1.0
+    assert make_head(out=(16, 16))._upsample.data.shape == (4, 256)
+    with T.using_dtype(np.float64):
+        assert make_head()._upsample.data.dtype == np.float64
+
+
 def _randomized_head(seed=30, **shape):
     head = make_head(seed=seed, **shape)
     rng = np.random.default_rng(seed + 1)
@@ -330,6 +342,30 @@ def test_miou_permutation_symmetric():
     assert abs(mean - mean_p) <= 1e-12
 
 
+def test_confusion_label_outside_classes_raises():
+    # a label file may hold any byte; one past K is an error, not a count
+    gt = np.array([[0, 255], [6, 1]], dtype=np.uint8)
+    with pytest.raises(ContractError, match=r"labels outside \[0,6\) and != 255"):
+        H.confusion_matrix(np.zeros((2, 2), dtype=np.intp), gt, 6)
+
+
 def test_confusion_label_shapes_must_match():
     with pytest.raises(ShapeError):
         H.confusion_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_confusion_matrix_equals_the_masked_count(seed):
+    # the formula the one-bincount count replaced
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 8))
+    shape = tuple(rng.integers(1, 9, int(rng.integers(1, 4))))
+    gt = rng.integers(0, k, shape).astype(np.uint8)
+    gt[rng.random(shape) < rng.random()] = 255
+    pred = rng.integers(0, k, shape)
+    valid = gt != 255
+    idx = gt[valid].astype(np.int64) * k + pred[valid].astype(np.int64)
+    want = np.bincount(idx, minlength=k * k).reshape(k, k)
+    got = H.confusion_matrix(pred, gt, k)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)

@@ -435,6 +435,75 @@ def test_linear_vjp_matches_fd_property(p, q, s, entry_bias, seed):
     _weighted_fd_check(T.linear, [(p, q), (q, s), bias], (p, s), seed)
 
 
+@pytest.mark.parametrize("op", [T.softmax_rows, T.gelu], ids=["softmax_rows", "gelu"])
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(max_dims=3, max_side=4), seed=st.integers(0, 2**16))
+def test_rowwise_vjp_matches_fd_property(op, shape, seed):
+    _weighted_fd_check(op, [shape], shape, seed)
+
+
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(max_dims=3, max_side=4), seed=st.integers(0, 2**16))
+def test_layer_norm_vjp_matches_fd_property(shape, seed):
+    # eps 1e-2 keeps a row whose entries nearly coincide smooth at the FD
+    # step; the backward rule is the same at every eps
+    d = shape[-1]
+    _weighted_fd_check(lambda x, g, b: T.layer_norm(x, g, b, eps=1e-2),
+                       [shape, (d,), (d,)], shape, seed)
+
+
+# The kernels' cheaper forms against the expressions they replaced, byte for
+# byte: finite floats of the full range, with +-0, subnormals, repeats and
+# huge magnitudes among them.
+def _float_arrays(dtype, max_dims):
+    fi = np.finfo(dtype)
+    special = st.sampled_from([0.0, -0.0, 1.0, -1.0, float(fi.smallest_subnormal),
+                               -3.0 * float(fi.smallest_subnormal), float(fi.tiny),
+                               float(fi.max), -float(fi.max)])
+    finite = st.floats(width=fi.bits, allow_nan=False, allow_infinity=False)
+    return hnp.arrays(dtype, hnp.array_shapes(max_dims=max_dims, max_side=6),
+                      elements=st.one_of(special, finite))
+
+
+def _old_gelu(xd):
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    y = xd * 0.5
+    y *= t + 1.0
+    return y
+
+
+def _old_softmax(x):
+    out = np.empty_like(x)
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@VJP_PROPERTY
+@given(data=st.data())
+def test_gelu_forward_has_the_bits_of_the_old_expression(dtype, data):
+    x = data.draw(_float_arrays(dtype, 2))
+    with np.errstate(all="ignore"), T.using_dtype(dtype):
+        assert T.gelu(leaf(x, rg=False)).data.tobytes() == _old_gelu(x).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@VJP_PROPERTY
+@given(data=st.data())
+def test_row_reductions_have_the_bits_of_the_old_expressions(dtype, data):
+    x = data.draw(_float_arrays(dtype, 4))
+    with np.errstate(all="ignore"):
+        assert T._row_mean(x).tobytes() == x.mean(axis=-1, keepdims=True).tobytes()
+        assert T._softmax(x, np.empty_like(x)).tobytes() == _old_softmax(x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # remaining op semantics
 

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import pytest
 from conftest import BAD_CONFIGS, state_bytes, tiny_train_config
 from reinlab import tensor as T
 from reinlab.checkpoint import Checkpoint, swap_adapter
-from reinlab.data import load_split
+from reinlab.data import load_split, pixel_floats
 from reinlab.errors import (ConfigError, ContractError, NumericError,
                             ParseError, ShapeError)
 from reinlab.head import confusion_matrix, iou_from_confusion
@@ -338,7 +339,7 @@ def _serial_report(model, samples, num_classes, batch):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     for start in range(0, len(samples), batch):
         chunk = samples[start:start + batch]
-        preds = model.predict_labels(np.stack([s.image for s in chunk]))
+        preds = model.predict_labels(pixel_floats(np.stack([s.image for s in chunk])))
         cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
     ious, mean = iou_from_confusion(cm)
     return EvalReport(per_class=list(ious), miou=mean, n_images=len(samples))
@@ -362,7 +363,7 @@ def test_worker_thread_predictions_equal_the_main_thread(tiny_benchmark):
     # more workers than cores, switching threads often: each forward must
     # still give the main thread's bytes, as evaluate_model's batches rely on
     model = _noised_model(tiny_benchmark, "rein")
-    images = np.stack([s.image for s in load_split(tiny_benchmark, "train")])
+    images = pixel_floats(np.stack([s.image for s in load_split(tiny_benchmark, "train")]))
     want = (model.forward_rows(images).data.tobytes(),
             model.predict_labels(images).tobytes())
 
@@ -377,6 +378,43 @@ def test_worker_thread_predictions_equal_the_main_thread(tiny_benchmark):
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 8
+
+
+def test_predict_labels_is_the_first_argmax(tiny_benchmark):
+    images = pixel_floats(np.stack([s.image for s in load_split(tiny_benchmark, "train")]))
+    model = _noised_model(tiny_benchmark, "rein")
+    want = model.forward_rows(images).data.argmax(axis=1).reshape(-1, 32, 32)
+    np.testing.assert_array_equal(model.predict_labels(images), want)
+    # A fresh head scores every pixel alike: half the column sums of its
+    # class bias. Classes 2 and 4 tie for the maximum, and 2 must win.
+    model = build_model(tiny_train_config(tiny_benchmark, mode="freeze"))
+    bias = model.head.params["head.b_cls"].data
+    bias[:] = 0.0
+    bias[:, 2] = bias[:, 4] = 1.0
+    rows = model.forward_rows(images).data
+    assert (rows[:, 2] == rows[:, 4]).all() and (rows.argmax(axis=1) == 2).all()
+    assert (model.predict_labels(images) == 2).all()
+
+
+@pytest.mark.parametrize("mode", ["rein", "freeze"], ids=["rein-lora", "freeze"])
+def test_predict_labels_batch8_peak_memory(mode):
+    # A desk eval batch's live arrays peaked at 3.27 MiB (rein-lora) and
+    # 3.13 MiB (freeze) while each layer kept its attention arrays through
+    # the MLP, gelu made a third [rows, hidden] temporary, and the argmax
+    # copied the class-major scores to row-major; 2.27 and 2.13 MiB without.
+    model = build_model(desk_config(mode=mode, pretrain=None))
+    images = np.random.default_rng(0).uniform(0, 1, (8, 3, 64, 64)).astype(np.float32)
+    model.predict_labels(images)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        model.predict_labels(images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_a_tape_records_only_its_own_thread(tiny_benchmark):
