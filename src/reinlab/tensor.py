@@ -150,8 +150,11 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.tapes.pop()
-        assert popped is self
+        tapes = _TAPE_STACK.tapes
+        if not tapes or tapes[-1] is not self:
+            raise ContractError("a tape exited that is not the innermost open "
+                                "tape of its thread")
+        tapes.pop()
         return False
 
     def __len__(self):

@@ -11,8 +11,10 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .adapter import ReinConfig
 from .checkpoint import Checkpoint
 from .data import load_split, pixel_floats, read_manifest
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ReinlabError
 from .head import HeadConfig, confusion_matrix, iou_from_confusion
 from .model import MODES, TRAINED, SegModel
 from .optim import AdamW
@@ -238,12 +240,19 @@ class EvalReport:
 
 def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport:
     """Deterministic per-class IoU over loaded samples (uint8 pixels, as
-    ``load_split`` holds them); each batch becomes floats on its own thread.
+    ``load_split`` holds them); each batch becomes floats in the process
+    that counts it.
 
-    Batches run concurrently on one thread per CPU the process may use, the
-    calling thread included; numpy releases the GIL inside BLAS and large
-    ufunc loops. Each batch counts its own integer confusion matrix, so the
-    sum, and the report, equal those of a serial run.
+    The batches split into one share per CPU the process may use. The
+    caller counts share 0; each other share is counted in a child process
+    forked from the caller, since a forward is hundreds of short numpy
+    steps that threads would serialise on the interpreter lock. A process
+    running other Python threads, or with one share, counts every batch
+    itself: a fork copies only the calling thread. Each share counts an
+    integer confusion matrix, so the sum, and the report, equal those of a
+    serial run. An exception raised in a child is raised here; a child that
+    ends without a result raises ``ReinlabError``. No child outlives the
+    call.
     """
     starts = range(0, len(samples), batch)
     workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
@@ -256,17 +265,73 @@ def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport
             cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
         return cm
 
-    # The calling thread takes a share itself: its heap already holds the
-    # memory a forward needs, where each new thread grows its own allocator
-    # arena (about 5 MB per thread after a training run).
-    shares = [starts[j::workers] for j in range(workers)]
-    with ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="reinlab-eval") as pool:
-        others = [pool.submit(count, share) for share in shares[1:]]
-        cm = count(shares[0])
-        for future in others:
-            cm += future.result()
+    if workers < 2 or threading.active_count() > 1:
+        cm = count(starts)
+    else:
+        cm = _forked_sum(count, [starts[j::workers] for j in range(workers)])
     ious, mean = iou_from_confusion(cm)
     return EvalReport(per_class=list(ious), miou=mean, n_images=len(samples))
+
+
+def _forked_sum(count, shares):
+    """Sum of ``count(share)`` over ``shares``: the first on the caller,
+    each other in a forked child that sends its matrix through a pipe."""
+    children = {}  # pid -> read end of the child's pipe
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _child(count, share, write_fd)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        total = count(shares[0])
+        for pid in list(children):
+            with children[pid] as pipe:
+                blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if blob[:1] == b"E":
+                exc = pickle.loads(blob[1:])
+                exc.add_note(f"raised in evaluation child {pid}")
+                raise exc
+            if blob[:1] != b"M" or len(blob) != 1 + total.nbytes:
+                raise ReinlabError(f"evaluation child {pid} ended without a result "
+                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
+            total += np.frombuffer(blob[1:], dtype=total.dtype).reshape(total.shape)
+        return total
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(count, share, write_fd):
+    """A forked child's whole life: count ``share``, write ``M`` and the
+    matrix, or ``E`` and the pickled exception, to the pipe, and exit
+    without running the parent's cleanup."""
+    status = 1
+    try:
+        try:
+            blob = b"M" + count(share).tobytes()
+        except BaseException as exc:  # sent to the caller, which raises it
+            try:
+                blob = b"E" + pickle.dumps(exc)
+                pickle.loads(blob[1:])
+            except Exception:  # an exception that does not round-trip
+                blob = b"E" + pickle.dumps(ReinlabError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(blob)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _check_dataset(manifest, cfg: TrainConfig):

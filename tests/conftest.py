@@ -1,4 +1,7 @@
+import os
+import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,25 @@ def no_leaked_threads():
     leaked = [t.name for t in threading.enumerate() if t not in before]
     if leaked:
         pytest.fail(f"test left {len(leaked)} thread(s) running: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process running or exited but not
+    waited for, naming its pid; the child is then killed and reaped, so the
+    next test starts without it."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    running = [int(p) for task in Path("/proc/self/task").iterdir()
+               for p in (task / "children").read_text().split()]
+    for child in running:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    left = ([pid] if pid else []) + running
+    pytest.fail(f"test left {len(left)} child process(es) unreaped: pids {left}")
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ the closing summary.
 The generalization-trend criterion trains 3 modes x 5 seeds x 2000
 iterations at desk scale, every run fine-tuning the same backbone that
 ``reinlab.pretrain`` pre-trains once per process. It dominates the runtime
-(~6 min on a 2-core machine, pretraining included) and is marked ``slow``;
+(754 s of a 794 s full suite on a shared 2-core sandbox, pretraining
+included, BLAS threads at their default) and is marked ``slow``;
 ``pytest -m "not slow"`` runs everything else.
 """
 

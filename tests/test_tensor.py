@@ -187,6 +187,20 @@ def test_no_grad_on_frozen_tensor():
     assert w.grad is not None
 
 
+def test_exiting_an_outer_tape_before_an_inner_one_raises():
+    outer, inner = Tape(), Tape()
+    with outer:
+        inner.__enter__()
+        with pytest.raises(ContractError, match="not the innermost open tape"):
+            outer.__exit__(None, None, None)
+        # the refused exit closed neither tape: ops still record on the inner
+        T.sum_all(leaf([1.0, 2.0]))
+        assert (len(inner), len(outer)) == (1, 0)
+        inner.__exit__(None, None, None)
+    with pytest.raises(ContractError, match="not the innermost open tape"):
+        outer.__exit__(None, None, None)
+
+
 def test_shared_input_grad_not_aliased():
     # The same upstream buffer can be handed to several inputs; accumulation
     # must not corrupt one input's gradient through another's.
@@ -391,10 +405,19 @@ def test_op_gradients_match_fd(op_name):
 VJP_PROPERTY = settings(PROPERTY, max_examples=120)
 
 
-def _weighted_fd_check(op, shapes, out_shape, seed):
+def _weighted_fd_check(op, shapes, out_shape, seed, spaced=False):
+    """``spaced`` draws every leaf entry from a shuffled grid of step 2e-2,
+    so that no two entries lie within the FD steps of each other: an op
+    with a kink where entries tie (``stack_max``) is smooth there."""
     rng = np.random.default_rng(seed)
     with T.using_dtype(np.float64):
-        leaves = [_rand(rng, sh) for sh in shapes]
+        if spaced:
+            sizes = [math.prod(sh) for sh in shapes]
+            grid = rng.permutation(sum(sizes)) * 2e-2 - 1.0
+            parts = np.split(grid, np.cumsum(sizes)[:-1])
+            leaves = [leaf(part.reshape(sh)) for part, sh in zip(parts, shapes)]
+        else:
+            leaves = [_rand(rng, sh) for sh in shapes]
         w = leaf(rng.uniform(-1, 1, out_shape), rg=False)
         fd_check(lambda *xs: T.sum_all(T.mul(op(*xs), w)), leaves)
 
@@ -435,7 +458,8 @@ def test_linear_vjp_matches_fd_property(p, q, s, entry_bias, seed):
     _weighted_fd_check(T.linear, [(p, q), (q, s), bias], (p, s), seed)
 
 
-@pytest.mark.parametrize("op", [T.softmax_rows, T.gelu], ids=["softmax_rows", "gelu"])
+@pytest.mark.parametrize("op", [T.softmax_rows, T.gelu, T.sigmoid],
+                         ids=["softmax_rows", "gelu", "sigmoid"])
 @VJP_PROPERTY
 @given(shape=hnp.array_shapes(max_dims=3, max_side=4), seed=st.integers(0, 2**16))
 def test_rowwise_vjp_matches_fd_property(op, shape, seed):
@@ -450,6 +474,75 @@ def test_layer_norm_vjp_matches_fd_property(shape, seed):
     d = shape[-1]
     _weighted_fd_check(lambda x, g, b: T.layer_norm(x, g, b, eps=1e-2),
                        [shape, (d,), (d,)], shape, seed)
+
+
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+       s=st.floats(-4, 4), seed=st.integers(0, 2**16))
+def test_scale_vjp_matches_fd_property(shape, s, seed):
+    _weighted_fd_check(lambda a: T.scale(a, s), [shape], shape, seed)
+
+
+@VJP_PROPERTY
+@given(stack=hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), p=st.integers(1, 4),
+       q=st.integers(1, 4), s=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_matmul_vjp_matches_fd_property(stack, p, q, s, seed):
+    _weighted_fd_check(T.matmul, [stack + (p, q), stack + (q, s)], stack + (p, s), seed)
+
+
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(max_dims=3, max_side=4), data=st.data())
+def test_reshape_vjp_matches_fd_property(shape, data):
+    size = math.prod(shape)
+    rows = data.draw(st.sampled_from([d for d in range(1, size + 1) if size % d == 0]))
+    _weighted_fd_check(lambda a: T.reshape(a, (rows, size // rows)), [shape],
+                       (rows, size // rows), data.draw(st.integers(0, 2**16)))
+
+
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(max_dims=4, max_side=3), data=st.data())
+def test_transpose_vjp_matches_fd_property(shape, data):
+    axes = data.draw(st.none() | st.permutations(range(len(shape))).map(tuple))
+    out_shape = shape[::-1] if axes is None else tuple(shape[a] for a in axes)
+    _weighted_fd_check(lambda a: T.transpose(a, axes), [shape], out_shape,
+                       data.draw(st.integers(0, 2**16)))
+
+
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(max_dims=3, max_side=3), data=st.data())
+def test_concat_vjp_matches_fd_property(shape, data):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    extents = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    before, after = shape[:axis % len(shape)], shape[axis % len(shape) + 1:]
+    shapes = [before + (e,) + after for e in extents]
+    out_shape = before + (sum(extents),) + after
+    _weighted_fd_check(lambda *xs: T.concat(xs, axis=axis), shapes, out_shape,
+                       data.draw(st.integers(0, 2**16)))
+
+
+@pytest.mark.parametrize("op", [T.stack_max, T.stack_mean], ids=["stack_max", "stack_mean"])
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(max_dims=3, max_side=3), k=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_stack_vjp_matches_fd_property(op, shape, k, seed):
+    _weighted_fd_check(lambda *xs: op(xs), [shape] * k, shape, seed, spaced=True)
+
+
+@VJP_PROPERTY
+@given(shape=hnp.array_shapes(min_dims=0, max_dims=3, max_side=4), seed=st.integers(0, 2**16))
+def test_sum_all_vjp_matches_fd_property(shape, seed):
+    _weighted_fd_check(T.sum_all, [shape], (), seed)
+
+
+@VJP_PROPERTY
+@given(p=st.integers(1, 6), k=st.integers(1, 5), data=st.data())
+def test_cross_entropy_vjp_matches_fd_property(p, k, data):
+    # a label of 255 marks an ignored pixel; at least one pixel counts
+    labels = np.array(data.draw(st.lists(st.sampled_from(list(range(k)) + [255]),
+                                         min_size=p, max_size=p)
+                                .filter(lambda ls: any(v != 255 for v in ls))))
+    _weighted_fd_check(lambda x: T.cross_entropy_logits(x, labels), [(p, k)], (),
+                       data.draw(st.integers(0, 2**16)))
 
 
 # The kernels' cheaper forms against the expressions they replaced, byte for

@@ -2,7 +2,9 @@
 
 import copy
 import hashlib
+import os
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -15,7 +17,7 @@ from reinlab import tensor as T
 from reinlab.checkpoint import Checkpoint, swap_adapter
 from reinlab.data import load_split, pixel_floats
 from reinlab.errors import (ConfigError, ContractError, NumericError,
-                            ParseError, ShapeError)
+                            ParseError, ReinlabError, ShapeError)
 from reinlab.head import confusion_matrix, iou_from_confusion
 from reinlab.model import TRAINED
 from reinlab.optim import AdamW
@@ -359,9 +361,106 @@ def test_evaluate_model_equals_serial_reference(tiny_benchmark, mode, count, bat
     assert got.n_images == count
 
 
+def _split_samples(root):
+    """The tiny benchmark's 14 scenes: batch 0 on the caller's share and
+    batch 1 on a child's, when evaluation runs two shares of batch 8."""
+    return [s for split in ("train", "val", "test") for s in load_split(root, split)]
+
+
+def _digest(model, images):
+    return hashlib.sha256(model.forward_rows(images).data.tobytes()
+                          + model.predict_labels(images).tobytes()).digest()
+
+
+def test_forked_child_forward_has_the_parent_bytes(tiny_benchmark):
+    model = _noised_model(tiny_benchmark, "rein")
+    images = pixel_floats(np.stack([s.image for s in load_split(tiny_benchmark, "train")]))
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            os.write(write_fd, _digest(model, images))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        got = pipe.read()
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert got == _digest(model, images)
+
+
+@pytest.mark.parametrize("where", [8, 0], ids=["child-share", "caller-share"])
+def test_share_exception_reaches_the_caller(tiny_benchmark, monkeypatch, where):
+    # a float32 sample in a share fails its batch's pixel_floats; no child
+    # may be left behind (the autouse fixture checks), whichever share fails
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    samples = _split_samples(tiny_benchmark)
+    bad = samples[where]
+    samples[where] = replace(bad, image=bad.image.astype(np.float32) / 255.0)
+    with pytest.raises(ContractError) as serial:
+        pixel_floats(np.stack([s.image for s in samples[where:where + 1]]))
+    with pytest.raises(ContractError) as forked:
+        evaluate_model(_noised_model(tiny_benchmark, "freeze"), samples, 6)
+    assert str(forked.value) == str(serial.value)
+    assert (forked.value.__notes__[0].startswith("raised in evaluation child")
+            if where else not hasattr(forked.value, "__notes__"))
+
+
+def test_child_without_a_result_raises_with_its_exit_status(tiny_benchmark, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    model = _noised_model(tiny_benchmark, "freeze")
+    caller, predict = os.getpid(), model.predict_labels
+
+    def exits_in_a_child(images):
+        if os.getpid() != caller:
+            os._exit(3)
+        return predict(images)
+
+    monkeypatch.setattr(model, "predict_labels", exits_in_a_child)
+    with pytest.raises(ReinlabError, match=r"ended without a result \(exit status 3\)") as err:
+        evaluate_model(model, _split_samples(tiny_benchmark), 6)
+    assert type(err.value) is ReinlabError
+
+
+def _no_fork():
+    raise AssertionError("evaluation forked")
+
+
+def test_one_cpu_counts_every_batch_on_the_caller(tiny_benchmark, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    model = _noised_model(tiny_benchmark, "rein")
+    samples = _split_samples(tiny_benchmark)
+    got = evaluate_model(model, samples, 6, batch=2)
+    assert got.as_dict() == _serial_report(model, samples, 6, 2).as_dict()
+
+
+def test_a_process_running_threads_does_not_fork(tiny_benchmark, monkeypatch):
+    # a fork copies only the calling thread, so a second live thread keeps
+    # evaluation on the caller
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    model = _noised_model(tiny_benchmark, "rein")
+    samples = _split_samples(tiny_benchmark)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        got = evaluate_model(model, samples, 6, batch=2)
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert got.as_dict() == _serial_report(model, samples, 6, 2).as_dict()
+
+
 def test_worker_thread_predictions_equal_the_main_thread(tiny_benchmark):
     # more workers than cores, switching threads often: each forward must
-    # still give the main thread's bytes, as evaluate_model's batches rely on
+    # still give the main thread's bytes, for a caller that runs forwards
+    # on threads of its own
     model = _noised_model(tiny_benchmark, "rein")
     images = pixel_floats(np.stack([s.image for s in load_split(tiny_benchmark, "train")]))
     want = (model.forward_rows(images).data.tobytes(),
