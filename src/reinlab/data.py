@@ -82,12 +82,12 @@ def default_target_spec(k: int) -> DomainSpec:
 
 @dataclass
 class SceneSample:
-    """One scene. ``generate_scene`` gives ``image`` as [3, H, W] float32 in
-    [0, 1]; a loaded split (``load_split``, ``read_dataset``) holds the
-    [3, H, W] uint8 pixels of its PPM files, a quarter of the bytes, and
-    ``pixel_floats`` turns a stack of them into a model batch."""
+    """One scene as its files store it: ``image`` holds the [3, H, W] uint8
+    pixels of its PPM file, whether ``generate_scene`` drew it or
+    ``load_split`` read it, and ``pixel_floats`` turns a stack of them into
+    a model batch."""
 
-    image: np.ndarray  # [3, H, W] float32 in [0, 1], or uint8 pixels as loaded
+    image: np.ndarray  # [3, H, W] uint8 pixels
     label: np.ndarray  # [H, W] uint8, class ids (< K) or 255
 
 
@@ -176,15 +176,17 @@ def _rasterize(scenes, h, w):
 
 def generate_scene(seed, spec: DomainSpec, k: int, h: int, w: int) -> SceneSample:
     """Deterministic scene for (seed, spec): 3-8 shapes over a textured
-    background, with appearance shifted per the spec."""
+    background, with appearance shifted per the spec, as 8-bit pixels."""
     images, labels = generate_scenes([seed], [spec], k, h, w)
-    return SceneSample(image=images[0], label=labels[0])
+    pixels = np.clip(np.rint(images[0] * 255.0), 0, 255).astype(np.uint8)
+    return SceneSample(image=pixels, label=labels[0])
 
 
 def generate_scenes(seeds, specs, k: int, h: int, w: int):
-    """``generate_scene`` of each ``(seeds[i], specs[i])`` pair as one batch:
-    images [n, 3, h, w] float32 and labels [n, h, w] uint8. A scene's bytes
-    depend on its own pair alone; the batch only shares the array work."""
+    """The scene of each ``(seeds[i], specs[i])`` pair as one batch: images
+    [n, 3, h, w] float32 in [0, 1], which ``generate_scene`` rounds to
+    pixels, and labels [n, h, w] uint8. A scene's bytes depend on its own
+    pair alone; the batch only shares the array work."""
     if k < 3:
         raise ConfigError(f"need at least 3 classes, got {k}")
     if len(specs) != len(seeds):
@@ -248,12 +250,11 @@ def _write_pnm(path, magic, arr2d_or_3d, w, h):
 
 
 def write_ppm(path, image: np.ndarray):
-    """image: [3, H, W] floats in [0, 1] -> 8-bit binary PPM."""
-    if image.dtype.kind != "f":  # a loaded split's pixels would saturate
-        raise ContractError(f"expected float image in [0, 1], got {image.dtype}")
+    """image: [3, H, W] uint8 pixels -> 8-bit binary PPM."""
+    if image.dtype != np.uint8:  # a float's raw bytes would corrupt the file
+        raise ContractError(f"expected uint8 pixels, got {image.dtype}")
     _, h, w = image.shape
-    pix = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    _write_pnm(path, "P6", pix.transpose(1, 2, 0), w, h)
+    _write_pnm(path, "P6", image.transpose(1, 2, 0), w, h)
 
 
 def write_pgm(path, label: np.ndarray):
@@ -303,8 +304,7 @@ def _decode_pnm(data, path, magic_want, channels):
 
 def pixel_floats(pixels: np.ndarray) -> np.ndarray:
     """uint8 pixels, of one image or a stacked batch -> float32 in [0, 1];
-    the one conversion, so a batch of loaded pixels has the bits of
-    ``decode_ppm`` of the same files."""
+    the one conversion from pixels to the floats a model takes."""
     if pixels.dtype != np.uint8:
         raise ContractError(f"expected uint8 pixels, got {pixels.dtype}")
     floats = pixels.astype(np.float32)
@@ -312,15 +312,10 @@ def pixel_floats(pixels: np.ndarray) -> np.ndarray:
     return floats
 
 
-def _ppm_pixels(data, path):
+def decode_ppm(data: bytes, path="<bytes>") -> np.ndarray:
     """8-bit binary PPM bytes -> contiguous [3, H, W] uint8 pixels."""
     arr, w, h = _decode_pnm(data, path, "P6", 3)
     return np.ascontiguousarray(arr.reshape(h, w, 3).transpose(2, 0, 1))
-
-
-def decode_ppm(data: bytes, path="<bytes>") -> np.ndarray:
-    """8-bit binary PPM bytes -> [3, H, W] floats in [0, 1]."""
-    return pixel_floats(_ppm_pixels(data, path))
 
 
 def decode_pgm(data: bytes, path="<bytes>") -> np.ndarray:
@@ -342,15 +337,14 @@ def write_dataset(directory, samples):
 
 
 def read_dataset(directory):
-    """The directory's samples in file order, each image as the uint8 pixels
-    of its PPM file (see ``SceneSample``)."""
+    """The directory's samples in file order (see ``SceneSample``)."""
     directory = Path(directory)
     samples = []
     for ppm in sorted(directory.glob("*.ppm")):
         pgm = ppm.with_suffix(".pgm")
         if not pgm.exists():
             raise ParseError(pgm, 0, "missing label file for image")
-        samples.append(SceneSample(image=_ppm_pixels(ppm.read_bytes(), ppm),
+        samples.append(SceneSample(image=decode_ppm(ppm.read_bytes(), ppm),
                                    label=decode_pgm(pgm.read_bytes(), pgm)))
     return samples
 
@@ -383,7 +377,8 @@ def generate_benchmark(root, k=6, size=64, counts=(200, 50, 50), seed=0):
 
 def read_manifest(root):
     """The dataset's manifest; ParseError unless it is an object whose
-    ``k``, ``h`` and ``w`` are positive ints."""
+    ``k``, ``h`` and ``w`` are positive ints and whose ``splits`` give each
+    split a non-negative int ``count``."""
     path = Path(root) / "manifest.json"
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -398,10 +393,23 @@ def read_manifest(root):
         if type(manifest.get(key)) is not int or manifest[key] < 1:
             raise ParseError(path, 0, f"manifest {key!r} must be a positive int, "
                              f"got {manifest.get(key)!r}")
+    splits = manifest.get("splits")
+    for split in SPLITS:
+        entry = splits.get(split) if isinstance(splits, dict) else None
+        count = entry.get("count") if isinstance(entry, dict) else None
+        if type(count) is not int or count < 0:
+            raise ParseError(path, 0, f"manifest split {split!r} must have a "
+                             f"non-negative int count, got {count!r}")
     return manifest
 
 
 def load_split(root, split):
+    """The split's samples; ParseError unless the manifest counts them."""
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}")
-    return read_dataset(Path(root) / split)
+    count = read_manifest(root)["splits"][split]["count"]
+    samples = read_dataset(Path(root) / split)
+    if len(samples) != count:
+        raise ParseError(Path(root) / split, 0, f"split {split!r} holds {len(samples)} "
+                         f"scenes, but the manifest counts {count}")
+    return samples

@@ -16,10 +16,6 @@ seeds ``(seed, PRETRAIN_SPLIT, index)`` never coincide with the benchmark's
 ``(seed, split, index)`` because ``PRETRAIN_SPLIT`` lies outside the split
 range, and no label is used.
 
-One worker thread draws the next step's scenes while the current step
-trains. A scene depends only on its index, and the mask stream stays on the
-calling thread in step order, so the bytes do not depend on timing.
-
 The result is a checkpoint holding backbone tensors only, with the recipe
 in its metadata; identical recipes give identical bytes.
 """
@@ -29,7 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -116,35 +111,27 @@ def pretrain_backbone(vit_cfg: ViTConfig, cfg: PretrainConfig) -> Checkpoint:
     size, ps, g = vit_cfg.image_size, vit_cfg.patch_size, vit_cfg.grid
     bsz = RECIPE["batch_size"]
     losses = []
-    # one batch ahead: the worker draws step + 1's scenes while step trains
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        def draw(step):
-            return pool.submit(pretrain_scenes, cfg, step * bsz, bsz, size)
-
-        pending = draw(0) if cfg.steps else None
-        for step in range(cfg.steps):
-            images = pending.result()
-            if step + 1 < cfg.steps:
-                pending = draw(step + 1)
-            opt.lr = RECIPE["lr"] * lr_factor(step, cfg.steps)
-            target = backbone.patchify(images)
-            masked = np.zeros((bsz, n), dtype=bool)
-            for j in range(bsz):
-                masked[j, mask_rng.permutation(n)[:n_masked]] = True
-            pixel_mask = masked.reshape(bsz, g, 1, g, 1)
-            pixel_mask = np.broadcast_to(pixel_mask, (bsz, g, ps, g, ps))
-            visible = np.where(pixel_mask.reshape(bsz, 1, size, size),
-                               0.0, images).astype(images.dtype)
-            weight = masked.reshape(-1, 1) / float(masked.sum() * pdim)
-            with Tape() as tape:
-                feats = backbone.forward(visible)[-1]
-                pred = T.linear(feats, decoder["decoder.W"], decoder["decoder.b"])
-                err = T.add(pred, Tensor(-target))
-                loss = T.sum_all(T.mul(T.mul(err, err), Tensor(weight)))
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            losses.append(loss.item())
+    for step in range(cfg.steps):
+        images = pretrain_scenes(cfg, step * bsz, bsz, size)
+        opt.lr = RECIPE["lr"] * lr_factor(step, cfg.steps)
+        target = backbone.patchify(images)
+        masked = np.zeros((bsz, n), dtype=bool)
+        for j in range(bsz):
+            masked[j, mask_rng.permutation(n)[:n_masked]] = True
+        pixel_mask = masked.reshape(bsz, g, 1, g, 1)
+        pixel_mask = np.broadcast_to(pixel_mask, (bsz, g, ps, g, ps))
+        visible = np.where(pixel_mask.reshape(bsz, 1, size, size),
+                           0.0, images).astype(images.dtype)
+        weight = masked.reshape(-1, 1) / float(masked.sum() * pdim)
+        with Tape() as tape:
+            feats = backbone.forward(visible)[-1]
+            pred = T.linear(feats, decoder["decoder.W"], decoder["decoder.b"])
+            err = T.add(pred, Tensor(-target))
+            loss = T.sum_all(T.mul(T.mul(err, err), Tensor(weight)))
+            tape.backward(loss)
+        opt.step()
+        opt.zero_grad()
+        losses.append(loss.item())
     window = max(1, min(LOSS_WINDOW, len(losses)))
     meta = {"pretrain": asdict(cfg), "recipe": dict(RECIPE),
             "vit": asdict(vit_cfg),

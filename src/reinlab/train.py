@@ -379,6 +379,8 @@ def train(cfg: TrainConfig):
     manifest = read_manifest(cfg.data_root)
     _check_dataset(manifest, cfg)
     train_set = load_split(cfg.data_root, "train")
+    if not train_set:
+        raise ConfigError(f"the train split of {cfg.data_root} has no scenes")
     val_set = load_split(cfg.data_root, "val")
     test_set = load_split(cfg.data_root, "test")
 

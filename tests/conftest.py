@@ -10,6 +10,7 @@ from hypothesis import settings
 from reinlab.adapter import ReinConfig
 from reinlab.data import generate_benchmark
 from reinlab.head import HeadConfig
+from reinlab.pretrain import PretrainConfig
 from reinlab.train import TrainConfig
 from reinlab.vit import ViTConfig
 
@@ -70,6 +71,21 @@ def tiny_train_config(data_root, mode="rein", variant="rein-lora", **overrides):
     base = dict(vit=vit, head=head, rein=rein, mode=mode, iterations=20,
                 batch_size=2, eval_interval=10, loss_window=10,
                 data_root=str(data_root), seed=0)
+    base.update(overrides)
+    return TrainConfig(**base)
+
+
+def mini_train_config(data_root, mode="rein", **overrides):
+    """The smallest config that learns in seconds: 4 px patches, both
+    learning rates 1e-3 and 1,000 iterations after a 300-step recipe. The
+    recipe runs once per process."""
+    vit = ViTConfig(image_size=32, patch_size=4, depth=2, dim=32, heads=4)
+    rein = ReinConfig.from_variant("rein-lora", c=32, depth=2, m=8, r=4, c_prime=16)
+    head = HeadConfig(num_classes=6, embed_dim=16, num_queries=8)
+    base = dict(vit=vit, head=head, rein=rein, mode=mode, iterations=1000,
+                batch_size=4, lr_backbone=1e-3, lr_head_and_rein=1e-3,
+                eval_interval=1000, data_root=str(data_root), seed=1,
+                pretrain=PretrainConfig(steps=300, seed=0))
     base.update(overrides)
     return TrainConfig(**base)
 

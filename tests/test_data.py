@@ -38,7 +38,11 @@ def test_scene_has_two_classes_and_valid_ids():
         ids = np.unique(s.label)
         assert len(ids) >= 2
         assert ids.max() < 6
-        assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+        # the pixels are the batch's floats in [0, 1] rounded to 8 bits
+        floats = D.generate_scenes([seed], [spec], 6, 64, 64)[0][0]
+        assert floats.min() >= 0.0 and floats.max() <= 1.0
+        want = np.rint(floats * np.float32(255.0)).astype(np.uint8)
+        assert s.image.dtype == np.uint8 and s.image.tobytes() == want.tobytes()
 
 
 def test_label_histogram_covers_all_classes():
@@ -191,7 +195,7 @@ def test_roundtrip(tmp_path):
     assert len(back) == 4
     for orig, got in zip(samples, back):
         assert orig.label.tobytes() == got.label.tobytes()
-        assert np.max(np.abs(orig.image - D.pixel_floats(got.image))) <= 1.0 / 255.0
+        assert orig.image.tobytes() == got.image.tobytes()
 
 
 def test_loaded_split_holds_pixels_that_batch_as_decode_ppm(tiny_benchmark):
@@ -202,9 +206,9 @@ def test_loaded_split_holds_pixels_that_batch_as_decode_ppm(tiny_benchmark):
     ppms = sorted((tiny_benchmark / "train").glob("*.ppm"))
     want = np.stack([D.decode_ppm(p.read_bytes(), p) for p in ppms])
     pixels = np.stack([s.image for s in samples])
+    assert want.dtype == np.uint8 and pixels.tobytes() == want.tobytes()
     got = D.pixel_floats(pixels)
-    assert got.dtype == want.dtype == np.float32
-    assert got.tobytes() == want.tobytes()
+    assert got.dtype == np.float32
     assert got.tobytes() == (pixels.astype(np.float32) / 255.0).tobytes()
 
 
@@ -214,8 +218,9 @@ def test_unconverted_pixels_are_rejected(tiny_benchmark, tmp_path):
         D.pixel_floats(D.pixel_floats(pixels))
     with pytest.raises(ContractError, match="float images"):
         build_model(tiny_train_config(tiny_benchmark)).predict_labels(pixels)
-    with pytest.raises(ContractError, match="float image"):
-        D.write_ppm(tmp_path / "x.ppm", pixels[0])
+    with pytest.raises(ContractError, match="expected uint8 pixels, got float32"):
+        D.write_ppm(tmp_path / "x.ppm", D.pixel_floats(pixels[0]))
+    assert not (tmp_path / "x.ppm").exists()
 
 
 def test_truncated_ppm_raises_parse_error(tmp_path):
@@ -270,7 +275,15 @@ def test_bad_manifest_json_raises_parse_error(tmp_path):
     ({"k": 6, "h": 0, "w": 32}, "'h' must be a positive int"),
     ({"k": 6, "h": 32, "w": True}, "'w' must be a positive int"),
     ({"k": 6, "h": 32, "w": 32.0}, "'w' must be a positive int"),
-], ids=["list", "no-k", "string-k", "zero-h", "bool-w", "float-w"])
+    ({"k": 6, "h": 32, "w": 32}, "split 'train' must have a non-negative int count, got None"),
+    ({"k": 6, "h": 32, "w": 32, "splits": {"train": {"count": 4}, "val": {"count": -1},
+                                           "test": {"count": 0}}},
+     "split 'val' must have a non-negative int count, got -1"),
+    ({"k": 6, "h": 32, "w": 32, "splits": {"train": {"count": 4}, "val": {"count": 1},
+                                           "test": {"count": "2"}}},
+     "split 'test' must have a non-negative int count, got '2'"),
+], ids=["list", "no-k", "string-k", "zero-h", "bool-w", "float-w", "no-splits",
+        "negative-count", "string-count"])
 def test_manifest_fields_raise_parse_error(tmp_path, manifest, message):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ParseError, match=message):
@@ -282,6 +295,16 @@ def test_missing_label_file_raises_parse_error(tmp_path):
     (tmp_path / "00000.pgm").unlink()
     with pytest.raises(ParseError, match="missing label"):
         D.read_dataset(tmp_path)
+
+
+def test_load_split_with_missing_files_raises_parse_error(tmp_path):
+    D.generate_benchmark(tmp_path, k=6, size=16, counts=(4, 1, 1), seed=0)
+    for suffix in (".ppm", ".pgm"):
+        (tmp_path / "train" / ("00001" + suffix)).unlink()
+    with pytest.raises(ParseError, match="split 'train' holds 3 scenes, but the "
+                       "manifest counts 4"):
+        D.load_split(tmp_path, "train")
+    assert len(D.load_split(tmp_path, "val")) == 1
 
 
 def test_load_split_rejects_unknown_split(tmp_path):

@@ -117,7 +117,7 @@ def pnm(tmp_path_factory):
     """Bytes of a 5x4 PPM and PGM as ``write_ppm``/``write_pgm`` store them."""
     root = tmp_path_factory.mktemp("pnm")
     rng = np.random.default_rng(0)
-    write_ppm(root / "a.ppm", rng.uniform(0, 1, (3, 4, 5)))
+    write_ppm(root / "a.ppm", rng.integers(0, 256, (3, 4, 5), dtype=np.uint8))
     write_pgm(root / "a.pgm", rng.integers(0, 6, (4, 5)))
     return {kind: (root / f"a.{kind}").read_bytes() for kind in DECODE}
 

@@ -12,10 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import BAD_CONFIGS, state_bytes, tiny_train_config
+from conftest import BAD_CONFIGS, mini_train_config, state_bytes, tiny_train_config
 from reinlab import tensor as T
+from reinlab import train as train_mod
 from reinlab.checkpoint import Checkpoint, swap_adapter
-from reinlab.data import load_split, pixel_floats
+from reinlab.data import (default_target_spec, generate_benchmark, generate_scene,
+                          load_split, pixel_floats)
 from reinlab.errors import (ConfigError, ContractError, NumericError,
                             ParseError, ReinlabError, ShapeError)
 from reinlab.head import confusion_matrix, iou_from_confusion
@@ -23,7 +25,8 @@ from reinlab.model import TRAINED
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
 from reinlab.train import (PROBE_TRAINED, EvalReport, TrainConfig, build_model,
-                           desk_config, evaluate, evaluate_model, train)
+                           desk_config, evaluate, evaluate_model, model_from_meta,
+                           train)
 
 # ---------------------------------------------------------------------------
 # AdamW
@@ -317,6 +320,22 @@ def test_memorize_single_sample(tmp_path):
     assert report.miou > 0.9
 
 
+def test_mini_config_learns_in_every_mode(tmp_path):
+    # the fast suite's learning canary. Thresholds come from clean runs at
+    # seeds 1-5 before any mutant ran: final train loss 0.400-0.532 and 2-6
+    # classes predicted on the test split, where an untrained head predicts
+    # the background alone.
+    generate_benchmark(tmp_path, k=6, size=32, counts=(64, 16, 16), seed=0)
+    images = pixel_floats(np.stack([s.image for s in load_split(tmp_path, "test")]))
+    for mode in ("rein", "freeze", "full"):
+        ckpt, log = train(mini_train_config(tmp_path, mode=mode))
+        model = model_from_meta(ckpt.meta)
+        ckpt.load_into(model)
+        classes = np.unique(model.predict_labels(images))
+        assert log.rows[-1].train_loss <= 0.6, (mode, log.rows[-1])
+        assert len(classes) >= 2, (mode, classes)
+
+
 def test_evaluate_is_deterministic(tiny_benchmark):
     cfg = tiny_train_config(tiny_benchmark, iterations=4, eval_interval=4)
     ckpt, _ = train(cfg)
@@ -359,6 +378,17 @@ def test_evaluate_model_equals_serial_reference(tiny_benchmark, mode, count, bat
     want = _serial_report(model, samples, 6, batch)
     assert got.as_dict() == want.as_dict()
     assert got.n_images == count
+
+
+def test_drawn_scenes_evaluate_as_their_loaded_files(tiny_benchmark):
+    # generate_scene holds the pixels that the benchmark's files store
+    drawn = [generate_scene((0, 2, i), default_target_spec(6), 6, 32, 32)
+             for i in range(3)]
+    loaded = load_split(tiny_benchmark, "test")
+    assert [s.image.tobytes() for s in drawn] == [s.image.tobytes() for s in loaded]
+    model = _noised_model(tiny_benchmark, "rein")
+    assert (evaluate_model(model, drawn, 6).as_dict()
+            == evaluate_model(model, loaded, 6).as_dict())
 
 
 def _split_samples(root):
@@ -569,6 +599,17 @@ def test_malformed_config_raises_config_error(bad, message, tiny_benchmark):
                                  {"config": bad(good)})
     with pytest.raises(ConfigError, match=message):
         evaluate(ckpt, tiny_benchmark)
+
+
+def test_empty_train_split_raises_before_the_model_is_built(tmp_path, monkeypatch):
+    generate_benchmark(tmp_path, k=6, size=32, counts=(0, 1, 1), seed=0)
+
+    def refuse(cfg):
+        raise AssertionError("the model was built for an empty train split")
+
+    monkeypatch.setattr(train_mod, "build_model", refuse)
+    with pytest.raises(ConfigError, match="train split of .* has no scenes"):
+        train(tiny_train_config(tmp_path))
 
 
 def test_train_rejects_manifest_without_class_count(tmp_path):
