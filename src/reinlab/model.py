@@ -92,20 +92,23 @@ class SegModel:
         """Decode a [B,3,H,W] batch to per-pixel logit rows [B*H*W, K]. In
         rein mode each T_i is computed once; it refines layer i and, when
         linked, feeds the query fusion that replaces ``head.queries``."""
-        adapter, hook = self.adapter, None
+        adapter, hook, tokens = self.adapter, None, None
         if adapter is not None:
             tokens = [adapter.tokens(i) for i in range(1, self.cfg.vit.depth + 1)]
 
             def hook(i, f):
                 return adapter(i, f, tokens[i - 1])
 
-        tapped = self.backbone.forward(images, hook=hook)
-        if adapter is not None and adapter.cfg.use_link:
-            query = adapter.aggregate_query(tokens)
+        return self.decode_taps(self.backbone.forward(images, hook=hook), tokens)
+
+    def decode_taps(self, tapped, tokens=None):
+        """Logit rows [B*H*W, K] from the backbone's tap features; the query
+        is the fusion of rein's ``tokens`` when linked, else ``head.queries``."""
+        if tokens is not None and self.adapter.cfg.use_link:
+            query = self.adapter.aggregate_query(tokens)
         else:
             query = self.head.params["head.queries"]
-        rows, _, _, _ = self.head.decode_rows(tapped, query)
-        return rows
+        return self.head.decode_rows(tapped, query)[0]
 
     def predict_labels(self, images: np.ndarray) -> np.ndarray:
         """Argmax label maps [B, H, W] for a batch, without building grads.

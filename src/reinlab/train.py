@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import contextlib
+import fcntl
 import math
 import os
 import pickle
 import signal
-import threading
 from collections import deque
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .head import HeadConfig, confusion_matrix, iou_from_confusion
 from .model import MODES, TRAINED, SegModel
 from .optim import AdamW
 from .pretrain import PretrainConfig, pretrained_backbone
-from .tensor import Tape
+from .tensor import Tape, Tensor, cross_entropy_logits, default_dtype
 from .vit import ViTConfig
 
 _STREAM_DATA = 4
@@ -244,18 +246,18 @@ def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport
     that counts it.
 
     The batches split into one share per CPU the process may use. The
-    caller counts share 0; each other share is counted in a child process
-    forked from the caller, since a forward is hundreds of short numpy
-    steps that threads would serialise on the interpreter lock. A process
-    running other Python threads, or with one share, counts every batch
-    itself: a fork copies only the calling thread. Each share counts an
-    integer confusion matrix, so the sum, and the report, equal those of a
-    serial run. An exception raised in a child is raised here; a child that
-    ends without a result raises ``ReinlabError``. No child outlives the
-    call.
+    caller counts share 0; when ``_may_fork`` allows, each other share is
+    counted in a child process forked from the caller, since a forward is
+    hundreds of short numpy steps that threads would serialise on the
+    interpreter lock. Otherwise, or with one share, the caller counts every
+    batch itself. Each share counts an integer confusion matrix, so the
+    sum, and the report, equal those of a serial run. An exception raised
+    in a child is raised here; a child that ends without a result raises
+    ``ReinlabError``. No child outlives the call.
     """
     starts = range(0, len(samples), batch)
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts))) if _may_fork() else 1
+    shares = [starts[j::workers] for j in range(workers)]
 
     def count(share):
         cm = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -265,70 +267,98 @@ def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport
             cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
         return cm
 
-    if workers < 2 or threading.active_count() > 1:
-        cm = count(starts)
-    else:
-        cm = _forked_sum(count, [starts[j::workers] for j in range(workers)])
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_Child(lambda share=share: [count(share).tobytes()],
+                                   "evaluation"))
+        cm = count(shares[0])
+        for child in children:
+            cm += child.receive(cm.shape, cm.dtype)
+    finally:
+        for child in children:
+            child.close()
     ious, mean = iou_from_confusion(cm)
     return EvalReport(per_class=list(ious), miou=mean, n_images=len(samples))
 
 
-def _forked_sum(count, shares):
-    """Sum of ``count(share)`` over ``shares``: the first on the caller,
-    each other in a forked child that sends its matrix through a pipe."""
-    children = {}  # pid -> read end of the child's pipe
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _child(count, share, write_fd)
+def _os_threads():
+    """This process's OS threads, a BLAS or OpenMP pool's included."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _may_fork():
+    """Whether work may go to forked children: two CPUs or more, and one OS
+    thread. A fork copies only the calling thread, so another thread's lock
+    stays held in the child, and a BLAS pool starts again in every child."""
+    return len(os.sched_getaffinity(0)) >= 2 and _os_threads() == 1
+
+
+class _Child:
+    """A forked child that frames each bytes object ``produce()`` yields on
+    a pipe, as ``D`` and the bytes, or ``E`` and the pickled exception that
+    ends it; the pipe's capacity bounds how far it runs ahead."""
+
+    def __init__(self, produce, role, frame_bytes=0):
+        self.role = role
+        read_fd, write_fd = os.pipe()
+        if frame_bytes:  # room for a frame: the child runs on while it waits
+            with contextlib.suppress(OSError):  # over the system's limit
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, frame_bytes + 1)
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
             os.close(write_fd)
-            children[pid] = os.fdopen(read_fd, "rb")
-        total = count(shares[0])
-        for pid in list(children):
-            with children[pid] as pipe:
-                blob = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if blob[:1] == b"E":
-                exc = pickle.loads(blob[1:])
-                exc.add_note(f"raised in evaluation child {pid}")
-                raise exc
-            if blob[:1] != b"M" or len(blob) != 1 + total.nbytes:
-                raise ReinlabError(f"evaluation child {pid} ended without a result "
-                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
-            total += np.frombuffer(blob[1:], dtype=total.dtype).reshape(total.shape)
-        return total
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _child_main(produce, write_fd)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def receive(self, shape, dtype):
+        """The next frame as a read-only array; the child's exception, with a
+        note naming the child, or ``ReinlabError`` when it ended without."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        tag = self.pipe.read(1)
+        if tag == b"D":
+            blob = self.pipe.read(nbytes)
+            if len(blob) == nbytes:
+                return np.frombuffer(blob, dtype).reshape(shape)
+        elif tag == b"E":
+            exc = pickle.loads(self.pipe.read())
+            exc.add_note(f"raised in {self.role} child {self.pid}")
+            raise exc
+        pid, self.pid = self.pid, None
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        raise ReinlabError(f"{self.role} child {pid} ended without a result "
+                           f"(exit status {status})")
+
+    def close(self):
+        """Kill and reap the child, unless ``receive`` reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
-def _child(count, share, write_fd):
-    """A forked child's whole life: count ``share``, write ``M`` and the
-    matrix, or ``E`` and the pickled exception, to the pipe, and exit
-    without running the parent's cleanup."""
+def _child_main(produce, write_fd):
+    """A forked child's whole life: frame what ``produce()`` yields, then exit."""
     status = 1
     try:
-        try:
-            blob = b"M" + count(share).tobytes()
-        except BaseException as exc:  # sent to the caller, which raises it
-            try:
-                blob = b"E" + pickle.dumps(exc)
-                pickle.loads(blob[1:])
-            except Exception:  # an exception that does not round-trip
-                blob = b"E" + pickle.dumps(ReinlabError(f"{type(exc).__name__}: {exc}"))
         with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(blob)
+            try:
+                for blob in produce():
+                    pipe.write(b"D" + blob)
+                    pipe.flush()
+            except BaseException as exc:  # sent to the caller, which raises it
+                try:
+                    blob = pickle.dumps(exc)
+                    pickle.loads(blob)
+                except Exception:  # an exception that does not round-trip
+                    blob = pickle.dumps(ReinlabError(f"{type(exc).__name__}: {exc}"))
+                pipe.write(b"E" + blob)
         status = 0
     finally:
         os._exit(status)
@@ -371,8 +401,27 @@ def _make_optimizers(model: SegModel, cfg: TrainConfig):
     return backbone, adamw(tuned, cfg.lr_head_and_rein)
 
 
+def _batches(cfg: TrainConfig, samples):
+    """Each step's (images, labels), drawn from the run's data stream; a
+    drawn flip mirrors an image and its label left to right."""
+    rng = np.random.default_rng((cfg.seed, _STREAM_DATA))
+    for _ in range(cfg.iterations):
+        idx = rng.integers(0, len(samples), cfg.batch_size)
+        flips = (rng.random(cfg.batch_size) < 0.5) & cfg.augment
+        chosen = [samples[i] for i in idx]
+        yield (np.stack([s.image[..., ::-1] if f else s.image for s, f in zip(chosen, flips)]),
+               np.stack([s.label[..., ::-1] if f else s.label for s, f in zip(chosen, flips)]))
+
+
 def train(cfg: TrainConfig):
     """Run the fine-tuning loop; returns (Checkpoint, MetricsLog).
+
+    While the backbone is frozen and there is no adapter (all of ``freeze``,
+    the probe stage of ``full``), a step's tap features depend on its batch
+    alone. When ``_may_fork`` allows, a forked child replays the data stream
+    and runs the backbone one to two steps ahead, and this process decodes
+    the taps it sends; the run's bytes are those of a one-CPU run. A child's
+    exception is raised here, and no child outlives the call.
 
     Raises TrainDiverged on a non-finite loss, keeping the partial log.
     """
@@ -391,7 +440,8 @@ def train(cfg: TrainConfig):
     probe_steps = round(PROBE_FRACTION * cfg.iterations) if backbone_opt else 0
     if probe_steps:
         model.set_trained(PROBE_TRAINED)
-    rng = np.random.default_rng((cfg.seed, _STREAM_DATA))
+    frozen_steps = 0 if model.adapter else probe_steps if backbone_opt else cfg.iterations
+    tap_shape = (len(cfg.vit.tap_layers), cfg.batch_size * cfg.vit.num_patches, cfg.vit.dim)
     window = deque(maxlen=cfg.loss_window)
     metrics = MetricsLog()
     k = manifest["k"]
@@ -403,33 +453,39 @@ def train(cfg: TrainConfig):
         metrics.add(iteration=iteration, train_loss=loss, val_miou=val.miou,
                     test_miou=test.miou, params=n_params)
 
-    for t in range(1, cfg.iterations + 1):
-        if probe_steps and t == probe_steps + 1:
-            model.set_trained(TRAINED[cfg.mode])
-        idx = rng.integers(0, len(train_set), cfg.batch_size)
-        flips = rng.random(cfg.batch_size) < 0.5
-        imgs, labels = [], []
-        for j, i in enumerate(idx):
-            s = train_set[i]
-            if cfg.augment and flips[j]:
-                imgs.append(s.image[:, :, ::-1])
-                labels.append(s.label[:, ::-1])
-            else:
-                imgs.append(s.image)
-                labels.append(s.label)
-        with Tape() as tape:
-            loss = model.batch_loss(pixel_floats(np.stack(imgs)), np.stack(labels))
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainDiverged(t, metrics)
-            tape.backward(loss)
-        tuned_opt.step()
-        if backbone_opt is not None and t > probe_steps:
-            backbone_opt.step()
-        model.zero_grad()
-        window.append(value)
-        if t % cfg.eval_interval == 0 or t == cfg.iterations:
-            eval_row(t)
+    def taps_ahead():  # in the child: each frozen step's tap features
+        for images, _ in islice(_batches(cfg, train_set), frozen_steps):
+            taps = model.backbone.forward(pixel_floats(images))
+            yield b"".join(f.data.tobytes() for f in taps)
+
+    frame_bytes = math.prod(tap_shape) * np.dtype(default_dtype()).itemsize
+    producer = (_Child(taps_ahead, "backbone", frame_bytes)
+                if frozen_steps and _may_fork() else None)
+    try:
+        for t, (images, labels) in enumerate(_batches(cfg, train_set), 1):
+            if probe_steps and t == probe_steps + 1:
+                model.set_trained(TRAINED[cfg.mode])
+            with Tape() as tape:
+                if producer is not None and t <= frozen_steps:
+                    taps = producer.receive(tap_shape, default_dtype())
+                    rows = model.decode_taps([Tensor(a) for a in taps])
+                else:
+                    rows = model.forward_rows(pixel_floats(images))
+                loss = cross_entropy_logits(rows, labels.reshape(-1))
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainDiverged(t, metrics)
+                tape.backward(loss)
+            tuned_opt.step()
+            if backbone_opt is not None and t > probe_steps:
+                backbone_opt.step()
+            model.zero_grad()
+            window.append(value)
+            if t % cfg.eval_interval == 0 or t == cfg.iterations:
+                eval_row(t)
+    finally:
+        if producer is not None:
+            producer.close()
     if cfg.iterations == 0:
         eval_row(0)
 

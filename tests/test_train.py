@@ -21,12 +21,13 @@ from reinlab.data import (default_target_spec, generate_benchmark, generate_scen
 from reinlab.errors import (ConfigError, ContractError, NumericError,
                             ParseError, ReinlabError, ShapeError)
 from reinlab.head import confusion_matrix, iou_from_confusion
-from reinlab.model import TRAINED
+from reinlab.model import TRAINED, SegModel
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
 from reinlab.train import (PROBE_TRAINED, EvalReport, TrainConfig, build_model,
                            desk_config, evaluate, evaluate_model, model_from_meta,
                            train)
+from reinlab.vit import ViTBackbone
 
 # ---------------------------------------------------------------------------
 # AdamW
@@ -391,6 +392,13 @@ def test_drawn_scenes_evaluate_as_their_loaded_files(tiny_benchmark):
             == evaluate_model(model, loaded, 6).as_dict())
 
 
+def _allow_fork(monkeypatch, os_threads=1):
+    """Two CPUs, and ``os_threads`` OS threads as the fork gate counts them,
+    whatever BLAS pool this process runs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(train_mod, "_os_threads", lambda: os_threads)
+
+
 def _split_samples(root):
     """The tiny benchmark's 14 scenes: batch 0 on the caller's share and
     batch 1 on a child's, when evaluation runs two shares of batch 8."""
@@ -426,7 +434,7 @@ def test_forked_child_forward_has_the_parent_bytes(tiny_benchmark):
 def test_share_exception_reaches_the_caller(tiny_benchmark, monkeypatch, where):
     # a float32 sample in a share fails its batch's pixel_floats; no child
     # may be left behind (the autouse fixture checks), whichever share fails
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _allow_fork(monkeypatch)
     samples = _split_samples(tiny_benchmark)
     bad = samples[where]
     samples[where] = replace(bad, image=bad.image.astype(np.float32) / 255.0)
@@ -440,7 +448,7 @@ def test_share_exception_reaches_the_caller(tiny_benchmark, monkeypatch, where):
 
 
 def test_child_without_a_result_raises_with_its_exit_status(tiny_benchmark, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _allow_fork(monkeypatch)
     model = _noised_model(tiny_benchmark, "freeze")
     caller, predict = os.getpid(), model.predict_labels
 
@@ -485,6 +493,115 @@ def test_a_process_running_threads_does_not_fork(tiny_benchmark, monkeypatch):
         other.join(60)
     assert not other.is_alive()
     assert got.as_dict() == _serial_report(model, samples, 6, 2).as_dict()
+
+
+def test_a_second_os_thread_keeps_every_process_serial(tiny_benchmark, monkeypatch):
+    # a BLAS pool's threads count as much as Python's: with one, a child
+    # would start a pool of its own and oversubscribe the cores
+    _allow_fork(monkeypatch, os_threads=2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    model = _noised_model(tiny_benchmark, "rein")
+    samples = _split_samples(tiny_benchmark)
+    got = evaluate_model(model, samples, 6, batch=2)
+    assert got.as_dict() == _serial_report(model, samples, 6, 2).as_dict()
+    train(tiny_train_config(tiny_benchmark, mode="freeze", iterations=4, eval_interval=4))
+
+
+def _counted_forks(monkeypatch):
+    """The pids that ``os.fork`` returns to this process from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _run_bytes(cfg):
+    ckpt, log = train(cfg)
+    return ckpt.to_bytes(), log.to_csv_bytes()
+
+
+@pytest.mark.parametrize("mode", ["freeze", "full"])
+def test_backbone_child_run_has_the_one_cpu_bytes(tiny_benchmark, monkeypatch, mode):
+    # freeze takes every step's taps from the child, full its 5 probe steps;
+    # the run evaluates at steps 10 and 20
+    cfg = tiny_train_config(tiny_benchmark, mode=mode, iterations=20)
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu.setattr(os, "fork", _no_fork)
+        want = _run_bytes(cfg)
+    _allow_fork(monkeypatch)
+    forks = _counted_forks(monkeypatch)
+    assert _run_bytes(cfg) == want
+    assert len(forks) == 1
+
+
+def _failing_at_call(monkeypatch, owner, name, k, fail):
+    """Patch ``owner.name`` to return ``fail(result)`` on its k-th call in
+    whichever process calls it."""
+    real, calls = getattr(owner, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        result = real(*args, **kwargs)
+        return fail(result) if len(calls) == k else result
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def test_backbone_child_exception_reaches_the_caller(tiny_benchmark, monkeypatch):
+    caller = os.getpid()
+
+    def fail(taps):
+        if os.getpid() != caller:
+            raise NumericError("backbone failed at step 3")
+        return taps
+
+    _allow_fork(monkeypatch)
+    _failing_at_call(monkeypatch, ViTBackbone, "forward", 3, fail)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(NumericError) as err:
+        train(tiny_train_config(tiny_benchmark, mode="freeze"))
+    assert type(err.value) is NumericError
+    assert str(err.value) == "backbone failed at step 3"
+    assert err.value.__notes__ == [f"raised in backbone child {forks[0]}"]
+
+
+def _nan_rows(rows):
+    return Tensor(np.full(rows.shape, np.nan))
+
+
+def _head_fails(rows):
+    raise ShapeError("head failed")
+
+
+@pytest.mark.parametrize("fail,error", [(_nan_rows, train_mod.TrainDiverged),
+                                        (_head_fails, ShapeError)],
+                         ids=["non-finite-loss", "head-raises"])
+def test_a_caller_that_raises_mid_run_leaves_no_child(tiny_benchmark, monkeypatch,
+                                                       fail, error):
+    # the autouse fixture fails the test if the backbone child is left
+    _allow_fork(monkeypatch)
+    _failing_at_call(monkeypatch, SegModel, "decode_taps", 3, fail)
+    forks = _counted_forks(monkeypatch)
+    with pytest.raises(error):
+        train(tiny_train_config(tiny_benchmark, mode="freeze"))
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("mode,iterations", [("freeze", 0), ("full", 0), ("full", 1),
+                                             ("rein", 4)])
+def test_no_frozen_step_starts_no_child(tiny_benchmark, monkeypatch, mode, iterations):
+    # full's probe stage is round(0.25 * iterations) steps: none at 1; the
+    # tiny splits' single batch keeps evaluation on the caller
+    _allow_fork(monkeypatch)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    train(tiny_train_config(tiny_benchmark, mode=mode, iterations=iterations))
 
 
 def test_worker_thread_predictions_equal_the_main_thread(tiny_benchmark):
