@@ -115,8 +115,8 @@ class ReinAdapter:
 
     Per-layer tensors live under ``adapter.layerNN.*`` (1-based), shared
     MLPs under ``adapter.shared.*`` and the query-fusion map under
-    ``adapter.final.*``; every tensor starts trainable, and
-    ``SegModel.set_trained`` narrows the set.
+    ``adapter.final.*``; every tensor starts trainable, as it stays in
+    ``rein`` mode, the one mode whose ``SegModel`` has an adapter.
 
     The adapter holds no state of a forward pass: ``adapter(i, f_i, T_i)``
     returns layer i's feature delta from the tokens it is given, and

@@ -222,11 +222,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # cap BLAS/OpenMP pools before numpy spins them up; default single
-    # threaded for determinism
-    threads = os.environ.get("REINLAB_THREADS", "1")
+    # cap BLAS/OpenMP pools at one thread before numpy spins them up, for
+    # determinism; a variable already set wins
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        os.environ.setdefault(var, "1")
 
     parser = _build_parser()
     try:

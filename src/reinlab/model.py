@@ -1,9 +1,10 @@
 """Full segmentation model: backbone + optional adapter + decode head.
 
-Three fine-tune modes; ``TRAINED`` names the components each one trains:
+Three fine-tune modes; ``TRAINED`` names the components each one trains, and
+a model sets its tensors' ``requires_grad`` from it once, when it is built:
 
-  full   - every backbone tensor trains alongside the head, after a
-           head-only start in every config (``train.PROBE_FRACTION``)
+  full   - every backbone tensor trains alongside the head, after the
+           frozen steps of ``train.PROBE_FRACTION``
   freeze - backbone fixed, only the head trains
   rein   - backbone fixed, the refinement adapter and the head train
 
@@ -57,7 +58,8 @@ class SegModel:
             cfg.head, len(vit.tap_layers), vit.dim, query_dim,
             (vit.grid, vit.grid), (vit.image_size, vit.image_size),
             np.random.default_rng((cfg.seed, _STREAM_HEAD)), owns_queries=not linked)
-        self.set_trained(TRAINED[cfg.mode])
+        for _, t, comp in self.named_tensors():
+            t.requires_grad = comp in TRAINED[cfg.mode]
 
     # -- parameters ----------------------------------------------------------
 
@@ -67,14 +69,6 @@ class SegModel:
                  ("head", self.head))
         return [(n, t, comp) for comp, part in parts if part is not None
                 for n, t in part.named_tensors()]
-
-    def set_trained(self, components):
-        """Let exactly the tensors of ``components`` take gradients: the
-        mode's ``TRAINED`` set, or a subset of it for a training phase."""
-        for _, t, comp in self.named_tensors():
-            t.requires_grad = comp in components
-            if not t.requires_grad:
-                t.grad = None
 
     def trainable_tensors(self):
         return [(n, t) for n, t, _ in self.named_tensors() if t.requires_grad]

@@ -17,6 +17,7 @@ import pickle
 import signal
 from collections import deque
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -39,7 +40,6 @@ _STREAM_DATA = 4
 # backbone trained on them, Adam would turn them into a common feature offset
 # that saturates the query masks at the class-prior plateau.
 PROBE_FRACTION = 0.25
-PROBE_TRAINED = ("head",)
 
 
 @dataclass
@@ -240,41 +240,39 @@ class EvalReport:
 # evaluation
 
 
-def evaluate_model(model: SegModel, samples, num_classes, batch=8) -> EvalReport:
-    """Deterministic per-class IoU over loaded samples (uint8 pixels, as
-    ``load_split`` holds them); each batch becomes floats in the process
-    that counts it.
+def evaluate_model(model: SegModel, samples, batch=8) -> EvalReport:
+    """Deterministic per-class IoU over the model's classes of loaded samples
+    (uint8 pixels, as ``load_split`` holds them); each batch becomes floats
+    in the process that counts it.
 
     The batches split into one share per CPU the process may use. The
-    caller counts share 0; when ``_may_fork`` allows, each other share is
-    counted in a child process forked from the caller, since a forward is
-    hundreds of short numpy steps that threads would serialise on the
-    interpreter lock. Otherwise, or with one share, the caller counts every
-    batch itself. Each share counts an integer confusion matrix, so the
-    sum, and the report, equal those of a serial run. An exception raised
-    in a child is raised here; a child that ends without a result raises
-    ``ReinlabError``. No child outlives the call.
+    caller counts share 0, and a ``_Child`` each other share: in a forked
+    process when it may fork, since a forward is hundreds of short numpy
+    steps that threads would serialise on the interpreter lock. Each share
+    counts an integer confusion matrix, so the sum, and the report, equal
+    those of a serial run. No child outlives the call.
     """
+    num_classes = model.cfg.head.num_classes
     starts = range(0, len(samples), batch)
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts))) if _may_fork() else 1
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
     shares = [starts[j::workers] for j in range(workers)]
 
-    def count(share):
+    def count(share):  # yields the share's confusion matrix
         cm = np.zeros((num_classes, num_classes), dtype=np.int64)
         for start in share:
             chunk = samples[start:start + batch]
             preds = model.predict_labels(pixel_floats(np.stack([s.image for s in chunk])))
             cm += confusion_matrix(preds, np.stack([s.label for s in chunk]), num_classes)
-        return cm
+        yield cm
 
     children = []
     try:
         for share in shares[1:]:
-            children.append(_Child(lambda share=share: [count(share).tobytes()],
-                                   "evaluation"))
-        cm = count(shares[0])
+            children.append(_Child(partial(count, share), "evaluation",
+                                   (num_classes, num_classes), np.int64))
+        cm = next(count(shares[0]))
         for child in children:
-            cm += child.receive(cm.shape, cm.dtype)
+            cm += child.receive()
     finally:
         for child in children:
             child.close()
@@ -295,16 +293,23 @@ def _may_fork():
 
 
 class _Child:
-    """A forked child that frames each bytes object ``produce()`` yields on
-    a pipe, as ``D`` and the bytes, or ``E`` and the pickled exception that
-    ends it; the pipe's capacity bounds how far it runs ahead."""
+    """The arrays (of one ``shape`` and ``dtype``) that the generator
+    ``produce()`` yields, one per ``receive``, and the one place that decides
+    whether work forks. When ``_may_fork`` allows, a forked child runs it and
+    frames each array on a pipe sized for one, as ``D`` and its bytes, or
+    ``E`` and the pickled exception that ends it; otherwise it runs lazily
+    in the caller."""
 
-    def __init__(self, produce, role, frame_bytes=0):
-        self.role = role
+    def __init__(self, produce, role, shape, dtype):
+        self.role, self.shape, self.dtype = role, shape, np.dtype(dtype)
+        self.nbytes = math.prod(shape) * self.dtype.itemsize
+        self.pid = self.pipe = None
+        if not _may_fork():
+            self.items = produce()
+            return
         read_fd, write_fd = os.pipe()
-        if frame_bytes:  # room for a frame: the child runs on while it waits
-            with contextlib.suppress(OSError):  # over the system's limit
-                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, frame_bytes + 1)
+        with contextlib.suppress(OSError):  # over the system's limit
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, self.nbytes + 1)
         try:
             self.pid = os.fork()
         except OSError:
@@ -317,15 +322,16 @@ class _Child:
         os.close(write_fd)
         self.pipe = os.fdopen(read_fd, "rb")
 
-    def receive(self, shape, dtype):
-        """The next frame as a read-only array; the child's exception, with a
-        note naming the child, or ``ReinlabError`` when it ended without."""
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    def receive(self):
+        """The next array; a child's exception, with a note naming the
+        child, or ``ReinlabError`` when it ended without."""
+        if self.pipe is None:
+            return next(self.items)
         tag = self.pipe.read(1)
         if tag == b"D":
-            blob = self.pipe.read(nbytes)
-            if len(blob) == nbytes:
-                return np.frombuffer(blob, dtype).reshape(shape)
+            blob = self.pipe.read(self.nbytes)
+            if len(blob) == self.nbytes:
+                return np.frombuffer(blob, self.dtype).reshape(self.shape)
         elif tag == b"E":
             exc = pickle.loads(self.pipe.read())
             exc.add_note(f"raised in {self.role} child {self.pid}")
@@ -337,6 +343,9 @@ class _Child:
 
     def close(self):
         """Kill and reap the child, unless ``receive`` reaped it."""
+        if self.pipe is None:
+            self.items.close()
+            return
         self.pipe.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
@@ -349,8 +358,8 @@ def _child_main(produce, write_fd):
     try:
         with os.fdopen(write_fd, "wb") as pipe:
             try:
-                for blob in produce():
-                    pipe.write(b"D" + blob)
+                for item in produce():
+                    pipe.write(b"D" + item.tobytes())
                     pipe.flush()
             except BaseException as exc:  # sent to the caller, which raises it
                 try:
@@ -373,14 +382,14 @@ def _check_dataset(manifest, cfg: TrainConfig):
                           "{} classes of {}x{}".format(*got, *want))
 
 
-def evaluate(ckpt: Checkpoint, data_root, split="test", batch=8) -> EvalReport:
+def evaluate(ckpt: Checkpoint, data_root, split="test") -> EvalReport:
     """Evaluate a checkpoint on one split of a stored benchmark."""
     manifest = read_manifest(data_root)
     model = model_from_meta(ckpt.meta)
     _check_dataset(manifest, model.cfg)
     ckpt.load_into(model)
     samples = load_split(data_root, split)
-    return evaluate_model(model, samples, manifest["k"], batch=batch)
+    return evaluate_model(model, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +425,14 @@ def _batches(cfg: TrainConfig, samples):
 def train(cfg: TrainConfig):
     """Run the fine-tuning loop; returns (Checkpoint, MetricsLog).
 
-    While the backbone is frozen and there is no adapter (all of ``freeze``,
-    the probe stage of ``full``), a step's tap features depend on its batch
-    alone. When ``_may_fork`` allows, a forked child replays the data stream
-    and runs the backbone one to two steps ahead, and this process decodes
-    the taps it sends; the run's bytes are those of a one-CPU run. A child's
-    exception is raised here, and no child outlives the call.
+    Frozen steps (all of ``freeze``, the first ``PROBE_FRACTION`` of
+    ``full``, none of ``rein``) have tap features that depend on the batch
+    alone: a ``_Child`` replays the data stream and runs the backbone, one
+    to two steps ahead when it forks, and each step reads its taps before
+    the tape opens, so the tape holds the head alone. The other steps run
+    ``forward_rows``, and only they step the backbone's optimizer. The
+    run's bytes are those of a one-CPU run. A child's exception is raised
+    here, and no child outlives the call.
 
     Raises TrainDiverged on a non-finite loss, keeping the partial log.
     """
@@ -436,48 +447,39 @@ def train(cfg: TrainConfig):
     model = build_model(cfg)
     backbone_opt, tuned_opt = _make_optimizers(model, cfg)
     n_params = model.n_trainable()
-    # LP-FT probe stage: only the head trains, so backward skips the backbone
-    probe_steps = round(PROBE_FRACTION * cfg.iterations) if backbone_opt else 0
-    if probe_steps:
-        model.set_trained(PROBE_TRAINED)
-    frozen_steps = 0 if model.adapter else probe_steps if backbone_opt else cfg.iterations
+    frozen_steps = (0 if model.adapter else cfg.iterations if backbone_opt is None
+                    else round(PROBE_FRACTION * cfg.iterations))
     tap_shape = (len(cfg.vit.tap_layers), cfg.batch_size * cfg.vit.num_patches, cfg.vit.dim)
     window = deque(maxlen=cfg.loss_window)
     metrics = MetricsLog()
-    k = manifest["k"]
 
     def eval_row(iteration):
         loss = float(np.mean(window)) if window else float("nan")
-        val = evaluate_model(model, val_set, k)
-        test = evaluate_model(model, test_set, k)
+        val = evaluate_model(model, val_set)
+        test = evaluate_model(model, test_set)
         metrics.add(iteration=iteration, train_loss=loss, val_miou=val.miou,
                     test_miou=test.miou, params=n_params)
 
-    def taps_ahead():  # in the child: each frozen step's tap features
+    def taps_ahead():  # each frozen step's tap features
         for images, _ in islice(_batches(cfg, train_set), frozen_steps):
-            taps = model.backbone.forward(pixel_floats(images))
-            yield b"".join(f.data.tobytes() for f in taps)
+            yield np.stack([f.data for f in model.backbone.forward(pixel_floats(images))])
 
-    frame_bytes = math.prod(tap_shape) * np.dtype(default_dtype()).itemsize
-    producer = (_Child(taps_ahead, "backbone", frame_bytes)
-                if frozen_steps and _may_fork() else None)
+    producer = (_Child(taps_ahead, "backbone", tap_shape, default_dtype())
+                if frozen_steps else None)
     try:
         for t, (images, labels) in enumerate(_batches(cfg, train_set), 1):
-            if probe_steps and t == probe_steps + 1:
-                model.set_trained(TRAINED[cfg.mode])
+            frozen = t <= frozen_steps
+            taps = producer.receive() if frozen else None
             with Tape() as tape:
-                if producer is not None and t <= frozen_steps:
-                    taps = producer.receive(tap_shape, default_dtype())
-                    rows = model.decode_taps([Tensor(a) for a in taps])
-                else:
-                    rows = model.forward_rows(pixel_floats(images))
+                rows = (model.decode_taps([Tensor(a) for a in taps]) if frozen
+                        else model.forward_rows(pixel_floats(images)))
                 loss = cross_entropy_logits(rows, labels.reshape(-1))
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainDiverged(t, metrics)
                 tape.backward(loss)
             tuned_opt.step()
-            if backbone_opt is not None and t > probe_steps:
+            if backbone_opt is not None and not frozen:
                 backbone_opt.step()
             model.zero_grad()
             window.append(value)

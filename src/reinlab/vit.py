@@ -104,7 +104,7 @@ def param_shapes(cfg: ViTConfig) -> dict:
 
 class ViTBackbone:
     """Patch embedding + ``depth`` pre-norm encoder layers; every tensor
-    starts trainable, and ``SegModel.set_trained`` narrows the set."""
+    starts trainable, and ``SegModel`` keeps them so in ``full`` mode alone."""
 
     def __init__(self, cfg: ViTConfig, rng):
         self.cfg = cfg

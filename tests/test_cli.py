@@ -236,13 +236,12 @@ def test_train_rejects_malformed_config_file(bad, message, tiny_benchmark, tmp_p
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _run_python(code, **env_extra):
+def _run_python(code):
     """Run ``code`` in a fresh interpreter whose environment sets no BLAS
     thread variable; returns the last line it prints."""
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
     src = str(Path(reinlab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.update(env_extra)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return proc.stdout.strip().splitlines()[-1]
@@ -266,6 +265,5 @@ def test_reinlab_threads_caps_blas_from_the_cli():
         "import numpy as np\n"
         "a = np.ones((512, 512))\n"
         "a @ a\n"
-        "print(len(os.listdir('/proc/self/task')))",
-        REINLAB_THREADS="1")
+        "print(len(os.listdir('/proc/self/task')))")
     assert out == "1"

@@ -24,9 +24,8 @@ from reinlab.head import confusion_matrix, iou_from_confusion
 from reinlab.model import TRAINED, SegModel
 from reinlab.optim import AdamW
 from reinlab.tensor import Tape, Tensor
-from reinlab.train import (PROBE_TRAINED, EvalReport, TrainConfig, build_model,
-                           desk_config, evaluate, evaluate_model, model_from_meta,
-                           train)
+from reinlab.train import (EvalReport, TrainConfig, build_model, desk_config, evaluate,
+                           evaluate_model, model_from_meta, train)
 from reinlab.vit import ViTBackbone
 
 # ---------------------------------------------------------------------------
@@ -78,15 +77,10 @@ def test_adamw_inf_gradient_names_tensor(bad):
 # gradient partition and frozen integrity
 
 
-@pytest.mark.parametrize("mode,phase", [("rein", None), ("freeze", None),
-                                        ("full", None), ("full", "probe")],
-                         ids=["rein", "freeze", "full", "full-probe"])
-def test_rein_mode_gradient_partition(tiny_benchmark, mode, phase):
+@pytest.mark.parametrize("mode", ["rein", "freeze", "full"])
+def test_rein_mode_gradient_partition(tiny_benchmark, mode):
     model = build_model(tiny_train_config(tiny_benchmark, mode=mode))
     trained = TRAINED[mode]
-    if phase == "probe":
-        trained = PROBE_TRAINED
-        model.set_trained(trained)
     rng = np.random.default_rng(0)
     imgs = rng.uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
     labels = rng.integers(0, 6, (2, 32, 32))
@@ -375,7 +369,7 @@ def test_evaluate_model_equals_serial_reference(tiny_benchmark, mode, count, bat
                for s in load_split(tiny_benchmark, split)][:count]
     assert len(samples) == count
     model = _noised_model(tiny_benchmark, mode)
-    got = evaluate_model(model, samples, 6, batch=batch)
+    got = evaluate_model(model, samples, batch=batch)
     want = _serial_report(model, samples, 6, batch)
     assert got.as_dict() == want.as_dict()
     assert got.n_images == count
@@ -388,8 +382,8 @@ def test_drawn_scenes_evaluate_as_their_loaded_files(tiny_benchmark):
     loaded = load_split(tiny_benchmark, "test")
     assert [s.image.tobytes() for s in drawn] == [s.image.tobytes() for s in loaded]
     model = _noised_model(tiny_benchmark, "rein")
-    assert (evaluate_model(model, drawn, 6).as_dict()
-            == evaluate_model(model, loaded, 6).as_dict())
+    assert (evaluate_model(model, drawn).as_dict()
+            == evaluate_model(model, loaded).as_dict())
 
 
 def _allow_fork(monkeypatch, os_threads=1):
@@ -441,7 +435,7 @@ def test_share_exception_reaches_the_caller(tiny_benchmark, monkeypatch, where):
     with pytest.raises(ContractError) as serial:
         pixel_floats(np.stack([s.image for s in samples[where:where + 1]]))
     with pytest.raises(ContractError) as forked:
-        evaluate_model(_noised_model(tiny_benchmark, "freeze"), samples, 6)
+        evaluate_model(_noised_model(tiny_benchmark, "freeze"), samples)
     assert str(forked.value) == str(serial.value)
     assert (forked.value.__notes__[0].startswith("raised in evaluation child")
             if where else not hasattr(forked.value, "__notes__"))
@@ -459,7 +453,7 @@ def test_child_without_a_result_raises_with_its_exit_status(tiny_benchmark, monk
 
     monkeypatch.setattr(model, "predict_labels", exits_in_a_child)
     with pytest.raises(ReinlabError, match=r"ended without a result \(exit status 3\)") as err:
-        evaluate_model(model, _split_samples(tiny_benchmark), 6)
+        evaluate_model(model, _split_samples(tiny_benchmark))
     assert type(err.value) is ReinlabError
 
 
@@ -472,7 +466,7 @@ def test_one_cpu_counts_every_batch_on_the_caller(tiny_benchmark, monkeypatch):
     monkeypatch.setattr(os, "fork", _no_fork)
     model = _noised_model(tiny_benchmark, "rein")
     samples = _split_samples(tiny_benchmark)
-    got = evaluate_model(model, samples, 6, batch=2)
+    got = evaluate_model(model, samples, batch=2)
     assert got.as_dict() == _serial_report(model, samples, 6, 2).as_dict()
 
 
@@ -487,7 +481,7 @@ def test_a_process_running_threads_does_not_fork(tiny_benchmark, monkeypatch):
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        got = evaluate_model(model, samples, 6, batch=2)
+        got = evaluate_model(model, samples, batch=2)
     finally:
         release.set()
         other.join(60)
@@ -502,7 +496,7 @@ def test_a_second_os_thread_keeps_every_process_serial(tiny_benchmark, monkeypat
     monkeypatch.setattr(os, "fork", _no_fork)
     model = _noised_model(tiny_benchmark, "rein")
     samples = _split_samples(tiny_benchmark)
-    got = evaluate_model(model, samples, 6, batch=2)
+    got = evaluate_model(model, samples, batch=2)
     assert got.as_dict() == _serial_report(model, samples, 6, 2).as_dict()
     train(tiny_train_config(tiny_benchmark, mode="freeze", iterations=4, eval_interval=4))
 
@@ -539,6 +533,39 @@ def test_backbone_child_run_has_the_one_cpu_bytes(tiny_benchmark, monkeypatch, m
     forks = _counted_forks(monkeypatch)
     assert _run_bytes(cfg) == want
     assert len(forks) == 1
+
+
+def _tape_lengths(monkeypatch):
+    """``len(tape)`` at each ``Tape.backward`` call in this process from now on."""
+    lengths, backward = [], Tape.backward
+
+    def counted(tape, root):
+        lengths.append(len(tape))
+        return backward(tape, root)
+
+    monkeypatch.setattr(Tape, "backward", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "one-cpu"])
+def test_frozen_steps_record_only_the_head(tiny_benchmark, monkeypatch, forked):
+    # a frozen step reads its taps before its tape opens, so a full run's 5
+    # probe steps record what a freeze step records, wherever the backbone ran
+    if forked:
+        _allow_fork(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", _no_fork)
+    forks = _counted_forks(monkeypatch)
+    lengths = _tape_lengths(monkeypatch)
+    train(tiny_train_config(tiny_benchmark, mode="freeze", iterations=4, eval_interval=4))
+    freeze = lengths[:]
+    del lengths[:]
+    train(tiny_train_config(tiny_benchmark, mode="full", iterations=20))
+    assert len(freeze) == 4 and len(set(freeze)) == 1
+    assert lengths[:5] == freeze[:1] * 5
+    assert len(lengths) == 20 and min(lengths[5:]) > freeze[0]
+    assert len(forks) == (2 if forked else 0)
 
 
 def _failing_at_call(monkeypatch, owner, name, k, fail):
