@@ -471,7 +471,7 @@ def train(cfg: TrainConfig):
             frozen = t <= frozen_steps
             taps = producer.receive() if frozen else None
             with Tape() as tape:
-                rows = (model.decode_taps([Tensor(a) for a in taps]) if frozen
+                rows = (model.decode_taps([Tensor._wrap(a, False) for a in taps]) if frozen
                         else model.forward_rows(pixel_floats(images)))
                 loss = cross_entropy_logits(rows, labels.reshape(-1))
                 value = loss.item()
