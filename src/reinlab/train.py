@@ -293,12 +293,12 @@ def _may_fork():
 
 
 class _Child:
-    """The arrays (of one ``shape`` and ``dtype``) that the generator
-    ``produce()`` yields, one per ``receive``, and the one place that decides
-    whether work forks. When ``_may_fork`` allows, a forked child runs it and
-    frames each array on a pipe sized for one, as ``D`` and its bytes, or
-    ``E`` and the pickled exception that ends it; otherwise it runs lazily
-    in the caller."""
+    """The items that the generator ``produce()`` yields, one per
+    ``receive``, each an array of one ``shape`` and ``dtype`` or a list of
+    arrays that stacks to one; and the one place that decides whether work
+    forks. When ``_may_fork`` allows, a forked child runs it and frames each
+    item on a pipe sized for one, as ``D`` and its bytes, or ``E`` and the
+    pickled exception that ends it; otherwise it runs lazily in the caller."""
 
     def __init__(self, produce, role, shape, dtype):
         self.role, self.shape, self.dtype = role, shape, np.dtype(dtype)
@@ -323,8 +323,9 @@ class _Child:
         self.pipe = os.fdopen(read_fd, "rb")
 
     def receive(self):
-        """The next array; a child's exception, with a note naming the
-        child, or ``ReinlabError`` when it ended without."""
+        """The next item: as yielded in the caller, as one read-only array
+        from a child; a child's exception, with a note naming the child, or
+        ``ReinlabError`` when it ended without."""
         if self.pipe is None:
             return next(self.items)
         tag = self.pipe.read(1)
@@ -359,7 +360,7 @@ def _child_main(produce, write_fd):
         with os.fdopen(write_fd, "wb") as pipe:
             try:
                 for item in produce():
-                    pipe.write(b"D" + item.tobytes())
+                    pipe.writelines((b"D", np.ascontiguousarray(item)))
                     pipe.flush()
             except BaseException as exc:  # sent to the caller, which raises it
                 try:
@@ -411,15 +412,19 @@ def _make_optimizers(model: SegModel, cfg: TrainConfig):
 
 
 def _batches(cfg: TrainConfig, samples):
-    """Each step's (images, labels), drawn from the run's data stream; a
-    drawn flip mirrors an image and its label left to right."""
+    """Each step's drawn (sample, flip) pairs, from the run's data stream."""
     rng = np.random.default_rng((cfg.seed, _STREAM_DATA))
     for _ in range(cfg.iterations):
         idx = rng.integers(0, len(samples), cfg.batch_size)
         flips = (rng.random(cfg.batch_size) < 0.5) & cfg.augment
-        chosen = [samples[i] for i in idx]
-        yield (np.stack([s.image[..., ::-1] if f else s.image for s, f in zip(chosen, flips)]),
-               np.stack([s.label[..., ::-1] if f else s.label for s, f in zip(chosen, flips)]))
+        yield [(samples[i], f) for i, f in zip(idx, flips)]
+
+
+def _stacked(drawn, attr):
+    """The drawn samples' ``image`` or ``label`` arrays, stacked; a drawn
+    flip mirrors an array left to right."""
+    return np.stack([getattr(s, attr)[..., ::-1] if f else getattr(s, attr)
+                     for s, f in drawn])
 
 
 def train(cfg: TrainConfig):
@@ -461,19 +466,19 @@ def train(cfg: TrainConfig):
                     test_miou=test.miou, params=n_params)
 
     def taps_ahead():  # each frozen step's tap features
-        for images, _ in islice(_batches(cfg, train_set), frozen_steps):
-            yield np.stack([f.data for f in model.backbone.forward(pixel_floats(images))])
+        for drawn in islice(_batches(cfg, train_set), frozen_steps):
+            yield [f.data for f in model.backbone.forward(pixel_floats(_stacked(drawn, "image")))]
 
     producer = (_Child(taps_ahead, "backbone", tap_shape, default_dtype())
                 if frozen_steps else None)
     try:
-        for t, (images, labels) in enumerate(_batches(cfg, train_set), 1):
+        for t, drawn in enumerate(_batches(cfg, train_set), 1):
             frozen = t <= frozen_steps
             taps = producer.receive() if frozen else None
             with Tape() as tape:
                 rows = (model.decode_taps([Tensor._wrap(a, False) for a in taps]) if frozen
-                        else model.forward_rows(pixel_floats(images)))
-                loss = cross_entropy_logits(rows, labels.reshape(-1))
+                        else model.forward_rows(pixel_floats(_stacked(drawn, "image"))))
+                loss = cross_entropy_logits(rows, _stacked(drawn, "label").reshape(-1))
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainDiverged(t, metrics)
