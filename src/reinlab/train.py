@@ -323,9 +323,8 @@ class _Child:
         self.pipe = os.fdopen(read_fd, "rb")
 
     def receive(self):
-        """The next item: as yielded in the caller, as one read-only array
-        from a child; a child's exception, with a note naming the child, or
-        ``ReinlabError`` when it ended without."""
+        """The next item, from a child as one read-only array; a child's
+        exception, with a note naming it, or ``ReinlabError`` when it ended without."""
         if self.pipe is None:
             return next(self.items)
         tag = self.pipe.read(1)
@@ -421,8 +420,7 @@ def _batches(cfg: TrainConfig, samples):
 
 
 def _stacked(drawn, attr):
-    """The drawn samples' ``image`` or ``label`` arrays, stacked; a drawn
-    flip mirrors an array left to right."""
+    """The drawn samples' ``image`` or ``label`` arrays, stacked, each flipped as drawn."""
     return np.stack([getattr(s, attr)[..., ::-1] if f else getattr(s, attr)
                      for s, f in drawn])
 
