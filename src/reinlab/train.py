@@ -15,7 +15,7 @@ import math
 import os
 import pickle
 import signal
-from collections import deque
+from collections import Counter, deque
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
@@ -294,9 +294,8 @@ def _may_fork():
 
 class _Child:
     """The items that the generator ``produce()`` yields, one per
-    ``receive``, each an array of one ``shape`` and ``dtype`` or a list of
-    arrays that stacks to one; and the one place that decides whether work
-    forks. When ``_may_fork`` allows, a forked child runs it and frames each
+    ``receive``, each an array of one ``shape`` and ``dtype``; and the one
+    place that decides whether work forks. When ``_may_fork`` allows, a forked child runs it and frames each
     item on a pipe sized for one, as ``D`` and its bytes, or ``E`` and the
     pickled exception that ends it; otherwise it runs lazily in the caller."""
 
@@ -410,19 +409,22 @@ def _make_optimizers(model: SegModel, cfg: TrainConfig):
     return backbone, adamw(tuned, cfg.lr_head_and_rein)
 
 
-def _batches(cfg: TrainConfig, samples):
-    """Each step's drawn (sample, flip) pairs, from the run's data stream."""
+def _batches(cfg: TrainConfig, n_samples):
+    """Each step's drawn (index, flip) pairs, from the run's data stream: a
+    plain ``(int, bool)`` pair names one input of the run, so it can key the
+    frozen backbone's memo. Replaying it with the same config yields the
+    same pairs."""
     rng = np.random.default_rng((cfg.seed, _STREAM_DATA))
     for _ in range(cfg.iterations):
-        idx = rng.integers(0, len(samples), cfg.batch_size)
+        idx = rng.integers(0, n_samples, cfg.batch_size)
         flips = (rng.random(cfg.batch_size) < 0.5) & cfg.augment
-        yield [(samples[i], f) for i, f in zip(idx, flips)]
+        yield list(zip(idx.tolist(), flips.tolist()))
 
 
-def _stacked(drawn, attr):
+def _stacked(samples, drawn, attr):
     """The drawn samples' ``image`` or ``label`` arrays, stacked, each flipped as drawn."""
-    return np.stack([getattr(s, attr)[..., ::-1] if f else getattr(s, attr)
-                     for s, f in drawn])
+    return np.stack([getattr(samples[i], attr)[..., ::-1] if f else getattr(samples[i], attr)
+                     for i, f in drawn])
 
 
 def train(cfg: TrainConfig):
@@ -432,7 +434,10 @@ def train(cfg: TrainConfig):
     ``full``, none of ``rein``) have tap features that depend on the batch
     alone: a ``_Child`` replays the data stream and runs the backbone, one
     to two steps ahead when it forks, and each step reads its taps before
-    the tape opens, so the tape holds the head alone. The other steps run
+    the tape opens, so the tape holds the head alone. The backbone runs
+    once per distinct (index, flip) input of those steps: an input's tap
+    rows are held while a later frozen step still draws it, and each step's
+    frame joins its inputs' rows in draw order. The other steps run
     ``forward_rows``, and only they step the backbone's optimizer. The
     run's bytes are those of a one-CPU run. A child's exception is raised
     here, and no child outlives the call.
@@ -463,20 +468,34 @@ def train(cfg: TrainConfig):
         metrics.add(iteration=iteration, train_loss=loss, val_miou=val.miou,
                     test_miou=test.miou, params=n_params)
 
-    def taps_ahead():  # each frozen step's tap features
-        for drawn in islice(_batches(cfg, train_set), frozen_steps):
-            yield [f.data for f in model.backbone.forward(pixel_floats(_stacked(drawn, "image")))]
+    def taps_ahead():  # each frozen step's tap features, as one array
+        steps = list(islice(_batches(cfg, len(train_set)), frozen_steps))
+        draws_left = Counter(key for drawn in steps for key in drawn)
+        held = {}  # an input's [taps, patches, dim] rows while a later step draws it
+        for drawn in steps:
+            new = [key for key in dict.fromkeys(drawn) if key not in held]
+            if new:  # one sub-batch; an image's rows do not depend on its batch-mates
+                taps = model.backbone.forward(pixel_floats(_stacked(train_set, new, "image")))
+                held.update(zip(new, np.stack([f.data.reshape(len(new), -1, cfg.vit.dim)
+                                               for f in taps], axis=1)))
+            yield np.concatenate([held[key] for key in drawn], axis=1)
+            draws_left.subtract(drawn)
+            for key in dict.fromkeys(drawn):
+                if not draws_left[key]:
+                    del held[key]
+                elif key in new:  # a copy, so the sub-batch's other rows can go
+                    held[key] = held[key].copy()
 
     producer = (_Child(taps_ahead, "backbone", tap_shape, default_dtype())
                 if frozen_steps else None)
     try:
-        for t, drawn in enumerate(_batches(cfg, train_set), 1):
+        for t, drawn in enumerate(_batches(cfg, len(train_set)), 1):
             frozen = t <= frozen_steps
             taps = producer.receive() if frozen else None
             with Tape() as tape:
                 rows = (model.decode_taps([Tensor._wrap(a, False) for a in taps]) if frozen
-                        else model.forward_rows(pixel_floats(_stacked(drawn, "image"))))
-                loss = cross_entropy_logits(rows, _stacked(drawn, "label").reshape(-1))
+                        else model.forward_rows(pixel_floats(_stacked(train_set, drawn, "image"))))
+                loss = cross_entropy_logits(rows, _stacked(train_set, drawn, "label").reshape(-1))
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainDiverged(t, metrics)

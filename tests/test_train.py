@@ -568,6 +568,50 @@ def test_frozen_steps_record_only_the_head(tiny_benchmark, monkeypatch, forked):
     assert len(forks) == (2 if forked else 0)
 
 
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "one-cpu"])
+def test_frozen_backbone_runs_once_per_distinct_input(tiny_benchmark, monkeypatch,
+                                                      tmp_path, forked):
+    # a freeze run's backbone, wherever it runs, receives each drawn
+    # (index, flip) pair once, and each step's frame holds the bytes of a
+    # plain forward of its batch; evaluation, which runs the backbone on
+    # other splits, is left out of the count
+    cfg = tiny_train_config(tiny_benchmark, mode="freeze", batch_size=4, iterations=20)
+    if forked:
+        _allow_fork(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", _no_fork)
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(train_mod, "evaluate_model",
+                        lambda model, samples: EvalReport([], 0.0, len(samples)))
+    received, forward = tmp_path / "received", ViTBackbone.forward
+
+    def counted(backbone, images, hook=None):  # a file, so a child's calls count
+        with open(received, "a") as fh:
+            fh.write(f"{len(images)}\n")
+        return forward(backbone, images, hook)
+
+    frames, decode = [], SegModel.decode_taps
+
+    def recorded(model, tapped, tokens=None):
+        frames.append(b"".join(t.data.tobytes() for t in tapped))
+        return decode(model, tapped, tokens)
+
+    monkeypatch.setattr(ViTBackbone, "forward", counted)
+    monkeypatch.setattr(SegModel, "decode_taps", recorded)
+    train(cfg)
+    train_set = load_split(tiny_benchmark, "train")
+    steps = list(train_mod._batches(cfg, len(train_set)))
+    assert any(len(set(drawn)) < len(drawn) for drawn in steps)
+    distinct = {key for drawn in steps for key in drawn}
+    assert sum(map(int, received.read_text().split())) == len(distinct)
+    backbone = build_model(cfg).backbone
+    assert frames == [b"".join(f.data.tobytes() for f in forward(
+        backbone, pixel_floats(train_mod._stacked(train_set, drawn, "image"))))
+        for drawn in steps]
+    assert len(forks) == (1 if forked else 0)
+
+
 def _failing_at_call(monkeypatch, owner, name, k, fail):
     """Patch ``owner.name`` to return ``fail(result)`` on its k-th call in
     whichever process calls it."""

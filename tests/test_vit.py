@@ -134,6 +134,26 @@ def test_batch_forward_matches_per_image():
         )
 
 
+@pytest.mark.parametrize("cfg", [ViTConfig(image_size=32, patch_size=8, depth=2, dim=32, heads=4),
+                                 ViTConfig(image_size=64, patch_size=8, depth=4, dim=64, heads=4)],
+                         ids=["tiny", "desk"])
+@pytest.mark.parametrize("split", [(1, 3), (2, 2), (1, 1, 1, 1)], ids=["1+3", "2+2", "1+1+1+1"])
+def test_sub_batch_taps_equal_the_batch_rows_bitwise(cfg, split):
+    # train() runs a frozen step's backbone on the images it has not run
+    # yet and joins their rows with held ones, which gives the batch
+    # forward's bytes only while an image's rows do not depend on its
+    # batch-mates
+    bb = ViTBackbone(cfg, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    imgs = np.concatenate([rand_image(rng, cfg.image_size) for _ in range(4)])
+    want = [t.data for t in bb.forward(imgs)]
+    starts = np.cumsum((0,) + split)
+    parts = [bb.forward(imgs[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    for i, tap in enumerate(want):
+        got = np.concatenate([taps[i].data for taps in parts])
+        assert got.tobytes() == tap.tobytes()
+
+
 def test_frozen_backbone_has_no_trainable_tensors():
     head = HeadConfig(num_classes=3, embed_dim=8, num_queries=4)
     bb = SegModel(TrainConfig(vit=toy_cfg(), head=head, mode="freeze")).backbone
